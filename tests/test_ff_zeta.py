@@ -1,11 +1,13 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from weilzeta.ff_zeta import (
     CurveSpec,
-    FiniteField,
     ProjectiveSpace,
     SingularCurveError,
     SizeBoundExceeded,
@@ -22,6 +24,7 @@ from weilzeta.ff_zeta import (
     verify_ff,
     zeta_curve,
     zeta_pn,
+    _poly_mulmod,
 )
 
 
@@ -60,6 +63,47 @@ def affine_count_oracle(f, p):
     for x in range(p):
         fx = sum(c * x**i for i, c in enumerate(f)) % p
         total += sum(1 for y in range(p) if (y * y - fx) % p == 0)
+    return total
+
+
+def prime_sieve(n):
+    """Is-prime flags for 0..n by the sieve of Eratosthenes."""
+    flags = [True] * (n + 1)
+    flags[0] = flags[1] = False
+    for i in range(2, int(n**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(flags[i * i :: i])
+    return flags
+
+
+def ext_mul(a, b, mod, p):
+    """Product of two coefficient tuples modulo the monic mod over F_p,
+    by schoolbook multiplication and reduction from the top degree."""
+    k = len(mod) - 1
+    out = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    for d in range(2 * k - 2, k - 1, -1):
+        c = out[d]
+        for i in range(k):
+            out[d - k + i] -= c * mod[i]
+    return tuple(c % p for c in out[:k])
+
+
+def ext_affine_count_oracle(f, p, mod):
+    """Count {(x, y) in F_{p^k}^2 : y^2 = f(x)} by direct enumeration,
+    with F_{p^k} = F_p[t]/(mod)."""
+    k = len(mod) - 1
+    field = list(product(range(p), repeat=k))
+    squares = [ext_mul(y, y, mod, p) for y in field]
+    total = 0
+    for x in field:
+        fx = (0,) * k
+        for c in reversed(f):
+            fx = ext_mul(fx, x, mod, p)
+            fx = ((fx[0] + c) % p,) + fx[1:]
+        total += squares.count(fx)
     return total
 
 
@@ -105,28 +149,73 @@ def test_make_field_caching_and_bounds():
         make_field(3, 0)
 
 
+def test_is_prime_against_sieve():
+    flags = prime_sieve(10**5)
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == [
+        n for n, prime in enumerate(flags) if prime
+    ]
+
+
+def test_is_prime_pseudoprimes():
+    # Carmichael numbers, and the smallest strong pseudoprime to 2, 3, 5, 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_prime_power_exact_roots():
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power(3**40) == (3, 40)
+    assert prime_power(1000003**2) == (1000003, 2)
+    assert prime_power(10**18 + 3) == (10**18 + 3, 1)
+    for bad in (12, 1, 1000003**2 * 2, (10**9 + 7) * (10**9 + 9)):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            prime_power(bad)
+
+
 def test_field_multiplication_against_modular_arithmetic():
-    # F_9 = F_3[x]/(x^2+1): (a+bx)(c+dx) = (ac-bd) + (ad+bc)x
-    field = make_field(3, 2)
-    els = field.elements()
-    import numpy as np
-
-    a = np.repeat(els, 9, axis=0)
-    b = np.tile(els, (9, 1))
-    prod_arr = field.mul(a, b)
-    for (a0, a1), (b0, b1), (c0, c1) in zip(a, b, prod_arr):
-        assert c0 == (a0 * b0 - a1 * b1) % 3
-        assert c1 == (a0 * b1 + a1 * b0) % 3
-
-
-def test_sqrt_counts_sum():
-    # sum over v of #{y : y^2 = v} = q, and 0 has exactly one root
-    for p, k in ((3, 1), (3, 2), (5, 1), (7, 2)):
+    # exp[log a + log b] = a b, against polynomial products mod the modulus
+    for p, k in ((3, 2), (5, 2), (3, 3)):
         field = make_field(p, k)
-        counts = field.sqrt_counts()
-        assert int(counts.sum()) == field.q
-        assert counts[0] == 1
-        assert set(counts.tolist()) <= {0, 1, 2}
+        log, exp = field.tables()
+
+        def decode(code):
+            return [(code // p**j) % p for j in range(k)]
+
+        for a in range(field.q):
+            for b in range(1, field.q):
+                expected = _poly_mulmod(decode(a), decode(b), field.modulus, p)
+                got = decode(int(exp[log[a] + log[b]]))
+                assert got[: len(expected)] == expected and not any(got[len(expected):])
+
+
+def test_log_exp_tables_and_root_counts():
+    # log and exp are inverse bijections on F_q^*, g has order q - 1, and
+    # the root counts 1 (v = 0), 2 (log v even), 0 (log v odd) sum to q
+    for p, k in ((3, 1), (3, 2), (5, 1), (7, 2), (3, 5)):
+        field = make_field(p, k)
+        q = field.q
+        log, exp = field.tables()
+        g = field.primitive_element()
+        assert log.dtype == exp.dtype == "int32" and len(exp) == 3 * (q - 1)
+        assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
+        assert (exp[log[1:]] == list(range(1, q))).all()
+        assert (log[exp[: q - 1]] == list(range(q - 1))).all()
+        assert (exp[q - 1 : 2 * (q - 1)] == exp[: q - 1]).all() and not exp[2 * (q - 1) :].any()
+        assert exp[0] == 1 and exp[1] == g and log[0] == 2 * (q - 1)
+        roots = [1] + [2 if log[v] % 2 == 0 else 0 for v in range(1, q)]
+        assert sum(roots) == q
+
+
+def test_primitive_element_is_smallest():
+    for p, k in ((3, 2), (5, 2), (7, 1), (11, 1), (3, 3)):
+        field = make_field(p, k)
+        log, exp = field.tables()
+        g = field.primitive_element()
+        # g^j has order q - 1 iff gcd(j, q - 1) = 1: no smaller element does
+        assert all(gcd(int(log[a]), field.q - 1) > 1 for a in range(1, g))
+        assert gcd(int(log[g]), field.q - 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +238,24 @@ def test_count_points_curve_against_oracle():
     ]
     for c in curves:
         assert count_points(c, 1) == affine_count_oracle(c.f, c.p) + 1
+
+
+def test_count_points_extension_against_oracle():
+    # brute force over F_{p^m} with the oracle's own arithmetic, modulo
+    # the field's minimal modulus
+    tails = ((1, 1, 0), (1, 2, 0), (2, 0, 1), (3, 1, 1), (1, 0, 0, 0, 1))
+    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2), (11, 2)):
+        mod = make_field(p, m).modulus
+        checked = 0
+        for lead in range(1, p):
+            for tail in tails:
+                try:
+                    c = CurveSpec(p, tail + (lead,))
+                except ValueError:
+                    continue
+                assert count_points(c, m) == ext_affine_count_oracle(c.f, p, mod) + 1
+                checked += 1
+        assert checked >= 5
 
 
 def test_count_points_extension_consistency():
@@ -283,3 +390,26 @@ def test_verify_ff_deterministic():
     a = verify_ff(CurveSpec(5, (0, -1, 0, 1)))
     b = verify_ff(CurveSpec(5, (0, -1, 0, 1)))
     assert a.zeta == b.zeta and a.special_value == b.special_value
+
+
+# ---------------------------------------------------------------------------
+# command line on huge primes: answered at once, not by trial division
+
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "weilzeta.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_cli_huge_prime_curve_hits_size_bound():
+    proc = run_cli("ff", "curve", "--p", "1000000000000000003", "--f", "x^3+x+1")
+    assert proc.returncode == 1
+    assert proc.stderr.strip().startswith("error: q^m = ")
+    assert proc.stderr.strip().endswith("exceeds 1048576")
+
+
+def test_cli_huge_prime_pn_passes():
+    proc = run_cli("ff", "pn", "--q", "1000000000000000003", "--n", "1")
+    assert proc.returncode == 0
+    assert "PASS" in proc.stdout
