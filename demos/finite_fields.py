@@ -32,9 +32,9 @@ print("P(t) coefficients:", p_coeffs)
 print("counts reproduced from Z(t):", expected_counts(zeta, 4))
 print("class number P(1):", curve_class_number(zeta))
 
-sv = special_value_s0(zeta)
-print("ord at s=0:", sv.ord, " zeta*(0) =", sv.mantissa, "* ln(5)^", sv.log_exponent)
-print("|c| (q-1) =", abs(sv.mantissa) * 4, " (must equal P(1))")
+ord_, c = special_value_s0(zeta)  # zeta*(0) = c * (ln 5)^ord exactly
+print("ord at s=0:", ord_, " zeta*(0) =", c, "* ln(5)^", ord_)
+print("|c| (q-1) =", abs(c) * 4, " (must equal P(1))")
 
 # A genus 2 curve.  Here two counts are needed and the functional
 # equation fills in the top half of P.  verify_ff bundles all checks.

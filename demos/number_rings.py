@@ -12,7 +12,8 @@ import math
 
 from weilzeta import dedekind_leading_at_0, quad_invariants
 from weilzeta.number_field import is_fundamental
-from weilzeta.weil_tables import numberring_compact_table, numberring_special_value
+from weilzeta.reports import numberring_report
+from weilzeta.weil_tables import numberring_compact_table
 
 # The Gaussian integers first.  Class number 1, four roots of unity, no
 # fundamental unit, so the prediction is zeta*(0) = -1/4 with no zero.
@@ -26,10 +27,10 @@ for i in table.degrees():
     g = table[i]
     print(f"  H^{i}_c: rank {g.rank}, torsion order {g.torsion_order}")
 
-predicted = numberring_special_value(inv)
-computed = dedekind_leading_at_0(inv)
-print("predicted ord, value:", predicted.ord, predicted.value)
-print("computed  ord, value:", computed.ord, computed.value)
+report = numberring_report(inv)
+print("predicted ord, value:", report.rank_predicted, report.special_value_predicted.numeric())
+print("computed  ord, value:", *dedekind_leading_at_0(inv))
+print("verdict:", report.verdict)
 
 # A real quadratic field has a unit of infinite order, so zeta_F picks
 # up a first-order zero at s=0 and the regulator enters the leading
@@ -38,9 +39,8 @@ print("computed  ord, value:", computed.ord, computed.value)
 inv = quad_invariants(5)
 print("\nQ(sqrt 5): regulator", inv.R, "=", "ln((1+sqrt 5)/2) =",
       math.log((1 + math.sqrt(5)) / 2))
-computed = dedekind_leading_at_0(inv)
-print("ord:", computed.ord, " zeta*(0):", computed.value,
-      " -hR/w:", -inv.h * inv.R / inv.w)
+ord_, value = dedekind_leading_at_0(inv)
+print("ord:", ord_, " zeta*(0):", value, " -hR/w:", -inv.h * inv.R / inv.w)
 
 # Now sweep every fundamental discriminant with |D| < 60.  The class
 # number, regulator, and root-of-unity count all come from exact
@@ -52,7 +52,7 @@ for d in range(-59, 60):
     if d in (0, 1) or not is_fundamental(d):
         continue
     inv = quad_invariants(d)
-    sv = dedekind_leading_at_0(inv)
+    ord_, value = dedekind_leading_at_0(inv)
     expected = -inv.h * inv.R / inv.w
-    print(f"{d:>5} {inv.unit_rank:>8} {sv.ord:>5}   {expected:>11.8f} "
-          f"{sv.value:>12.8f}  {abs(sv.value - expected):.2e}")
+    print(f"{d:>5} {inv.unit_rank:>8} {ord_:>5}   {expected:>11.8f} "
+          f"{value:>12.8f}  {abs(value - expected):.2e}")

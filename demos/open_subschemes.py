@@ -7,10 +7,9 @@
 # level of finished reports, so any mix of verified objects can be
 # combined, and any FAIL or UNSUPPORTED verdict propagates.
 
-from weilzeta.cli import ff_report, numberring_report, open_report
 from weilzeta.ff_zeta import ProjectiveSpace
 from weilzeta.number_field import RATIONALS
-from weilzeta.reports import emit_report
+from weilzeta.reports import emit_report, ff_report, numberring_report, open_report
 
 # The affine line over F_5 as P^1 minus a point.  Both constituents
 # have a simple pole at s=0; the quotient has neither pole nor zero and

@@ -18,7 +18,7 @@ from weilzeta import (
     verify_ff,
     zeta_pn,
 )
-from weilzeta.motivic_rank import SchemeDescriptor, pn_of_order, soule_rank
+from weilzeta.motivic_rank import pn_of_order, soule_rank
 from weilzeta.number_field import RATIONALS
 
 # P^2 over F_4.  The Weil-etale table has Z in degrees 0 and 1 and
@@ -33,8 +33,8 @@ for i in table.degrees():
     g = table[i]
     print(f"  H^{i}: rank {g.rank}, torsion order {g.torsion_order}")
 
-sv = special_value_s0(zeta_pn(q, n))
-print("zeta side:      ord", sv.ord, " |c| =", abs(sv.mantissa))
+ord_, c = special_value_s0(zeta_pn(q, n))
+print("zeta side:      ord", ord_, " |c| =", abs(c))
 print("cohomology side: ord", rank_weighted_euler(table),
       " |c| =", torsion_euler(table))
 print("verified:", verify_ff(ProjectiveSpace(q, n)).ok)
@@ -49,7 +49,7 @@ print("   disc   n  motivic  analytic")
 for d in (1, -4, -23, 5, 12):
     inv = RATIONALS if d == 1 else quad_invariants(d)
     for n in range(4):
-        lhs = soule_rank(SchemeDescriptor("PnOverNumberRing", inv, n))
+        lhs = soule_rank(inv, n)
         rhs = pn_of_order(inv, n)
         mark = "" if lhs == rhs else "  MISMATCH"
         print(f"{d:>7} {n:>3} {lhs:>8} {rhs:>9}{mark}")

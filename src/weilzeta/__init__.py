@@ -8,7 +8,6 @@ from .fgab import (
     IntMatrix,
     cokernel,
     extend,
-    invariant_factors,
     rank_weighted_euler,
     smith_normal_form,
     torsion_euler,
@@ -26,15 +25,8 @@ from .ff_zeta import (
     zeta_curve,
     zeta_pn,
 )
-from .lfunc import (
-    SpecialValue,
-    dedekind_leading_at_0,
-    kronecker,
-    l_at_0,
-    l_prime_at_0,
-    log_gamma,
-)
-from .motivic_rank import SchemeDescriptor, borel_dim, pn_of_order, soule_rank, zeta_order_at
+from .lfunc import dedekind_leading_at_0, kronecker, l_at_0, l_prime_at_0
+from .motivic_rank import borel_dim, pn_of_order, soule_rank, zeta_order_at
 from .number_field import (
     NumberFieldInvariants,
     RATIONALS,
@@ -46,14 +38,6 @@ from .number_field import (
     quad_invariants,
 )
 from .reports import SymbolicValue, VerificationReport, emit_report, parse_report
-from .weil_tables import (
-    ThetaComplexReport,
-    numberring_compact_table,
-    numberring_special_value,
-    numberring_table,
-    pn_fq_table,
-    pn_of_table,
-    theta_acyclicity,
-)
+from .weil_tables import numberring_compact_table, pn_fq_table, pn_of_table
 
 __version__ = "0.1.0"

@@ -11,15 +11,23 @@ import random
 import time
 from fractions import Fraction
 
-from . import cli, ff_zeta, weil_tables
-from .fgab import IntMatrix, rank_weighted_euler, smith_normal_form, torsion_euler
+from . import ff_zeta, weil_tables
+from .fgab import IntMatrix, smith_normal_form
 from .lfunc import dedekind_leading_at_0
-from .motivic_rank import SchemeDescriptor, pn_of_order, soule_rank
+from .motivic_rank import pn_of_order, soule_rank
 from .number_field import RATIONALS, quad_invariants
-from .reports import RANK_ONLY
+from .reports import (
+    DEFAULT_TOL,
+    PASS,
+    RANK_ONLY,
+    ff_report,
+    ff_value,
+    numberring_report,
+    open_report,
+    pn_of_report,
+)
 
 NUMBER_RING_SUITE = (-3, -4, -7, -8, -11, -15, -23, -47, 5, 8, 12, 13, 40)
-DEFAULT_TOL = 1e-8
 
 
 def check_number_rings(tol: float = DEFAULT_TOL):
@@ -29,10 +37,11 @@ def check_number_rings(tol: float = DEFAULT_TOL):
     for d in NUMBER_RING_SUITE:
         start = time.perf_counter()
         inv = quad_invariants(d)
-        analytic = dedekind_leading_at_0(inv)
+        report = numberring_report(inv, tol)
         expected = -inv.h * inv.R / inv.w
-        ord_ok = analytic.ord == inv.unit_rank
-        value_ok = abs(analytic.value - expected) <= tol * max(1.0, abs(expected))
+        ord_ok = report.ord_computed == report.rank_predicted == inv.unit_rank
+        value = report.special_value_computed.numeric()
+        value_ok = report.verdict == PASS and abs(value - expected) <= tol * max(1.0, abs(expected))
         fast = time.perf_counter() - start < 1.0
         if not (ord_ok and value_ok and fast):
             bad.append((d, ord_ok, value_ok, fast))
@@ -41,9 +50,9 @@ def check_number_rings(tol: float = DEFAULT_TOL):
 
 def check_rationals():
     """Criterion 2: Q itself, exact: ord 0 and zeta(0) = -1/2 = -hR/w."""
-    analytic = dedekind_leading_at_0(RATIONALS)
-    ok = analytic.ord == 0 and analytic.value == -0.5 == -RATIONALS.h * 1.0 / RATIONALS.w
-    return ok, f"ord={analytic.ord}, value={analytic.value}"
+    ord_, value = dedekind_leading_at_0(RATIONALS)
+    ok = ord_ == 0 and value == -0.5 == -RATIONALS.h * 1.0 / RATIONALS.w
+    return ok, f"ord={ord_}, value={value}"
 
 
 def check_pn_over_fq():
@@ -52,13 +61,15 @@ def check_pn_over_fq():
     bad = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(4):
-            table = weil_tables.pn_fq_table(q, n)
-            sv = ff_zeta.special_value_s0(ff_zeta.zeta_pn(q, n))
-            rho_ok = sv.ord == rank_weighted_euler(table) == -1
+            report = ff_report(ff_zeta.ProjectiveSpace(q, n))
+            rho_ok = report.ord_computed == report.rank_predicted == -1
             expected = Fraction(1)
             for j in range(1, n + 1):
                 expected /= q**j - 1
-            c_ok = abs(sv.mantissa) == torsion_euler(table) == expected
+            # |c| (ln q)^-1 with c = 1 / prod (q^j - 1), as the report folds it
+            want, computed = ff_value(expected, -1, q), report.special_value_computed
+            c_ok = (report.verdict == PASS and abs(computed.mantissa) == want.mantissa
+                    and computed.log_exponents == want.log_exponents)
             if not (rho_ok and c_ok):
                 bad.append((q, n))
     elapsed = time.perf_counter() - start
@@ -114,7 +125,7 @@ def check_pn_rank_identity():
     for d in (1, *NUMBER_RING_SUITE):
         inv = quad_invariants(d)
         for n in range(7):
-            lhs = soule_rank(SchemeDescriptor("PnOverNumberRing", inv, n))
+            lhs = soule_rank(inv, n)
             rhs = pn_of_order(inv, n)
             if lhs != rhs:
                 bad.append((d, n, lhs, rhs))
@@ -147,11 +158,11 @@ def open_pairs():
     """(base report, fiber report) pairs for the multiplicativity check."""
     qi = quad_invariants(-4)
     return [
-        (cli.numberring_report(RATIONALS), cli.ff_report(ff_zeta.ProjectiveSpace(2, 0))),
-        (cli.numberring_report(RATIONALS), cli.ff_report(ff_zeta.ProjectiveSpace(3, 0))),
-        (cli.numberring_report(quad_invariants(5)), cli.ff_report(ff_zeta.ProjectiveSpace(11, 0))),
-        (cli.pn_of_report(qi, 1), cli.ff_report(ff_zeta.ProjectiveSpace(5, 1))),
-        (cli.pn_of_report(RATIONALS, 2), cli.ff_report(ff_zeta.ProjectiveSpace(7, 2))),
+        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(2, 0))),
+        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(3, 0))),
+        (numberring_report(quad_invariants(5)), ff_report(ff_zeta.ProjectiveSpace(11, 0))),
+        (pn_of_report(qi, 1), ff_report(ff_zeta.ProjectiveSpace(5, 1))),
+        (pn_of_report(RATIONALS, 2), ff_report(ff_zeta.ProjectiveSpace(7, 2))),
     ]
 
 
@@ -159,7 +170,7 @@ def check_open_multiplicativity():
     """Criterion 7: ord additivity under removal of closed fibers."""
     bad = []
     for base, fiber in open_pairs():
-        combined = cli.open_report(base, [fiber])
+        combined = open_report(base, [fiber])
         expected = base.ord_computed - fiber.ord_computed
         if not (
             combined.ord_computed == expected
@@ -173,7 +184,7 @@ def check_open_multiplicativity():
 def check_rank_only_flag():
     """Criterion 8: P^n over O_F with n >= 1 and no K-torsion input must
     report RANK_ONLY with the unknown-torsion caveat."""
-    report = cli.pn_of_report(quad_invariants(-4), 2)
+    report = pn_of_report(quad_invariants(-4), 2)
     ok = (
         report.verdict == RANK_ONLY
         and weil_tables.UNKNOWN_TORSION_CAVEAT in report.caveats

@@ -18,12 +18,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
-from . import ff_zeta, weil_tables
-from .fgab import rank_weighted_euler, torsion_euler
-from .lfunc import AnalyticSideUnavailable, dedekind_leading_at_0
-from .motivic_rank import SchemeDescriptor, pn_of_order, soule_rank
+from . import ff_zeta
+from .acceptance import run_suite
 from .number_field import (
     InvariantsError,
     NumberFieldInvariants,
@@ -33,181 +30,18 @@ from .number_field import (
     quad_invariants,
 )
 from .reports import (
-    FAIL,
-    PASS,
-    RANK_ONLY,
-    UNSUPPORTED,
-    SymbolicValue,
-    VerificationReport,
+    DEFAULT_TOL,
     emit_report,
+    ff_report,
     load_report,
-    serialize_table,
+    numberring_report,
+    open_report,
+    pn_of_report,
 )
-
-DEFAULT_TOL = 1e-8
 
 
 class UsageError(ValueError):
     pass
-
-
-def _invariants_dict(inv: NumberFieldInvariants) -> dict:
-    return {"r1": inv.r1, "r2": inv.r2, "h": inv.h, "R": inv.R,
-            "w": inv.w, "disc": inv.disc}
-
-
-def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
-                      object_name: str | None = None) -> VerificationReport:
-    """Compare the cohomological prediction (ord = r1+r2-1, -hR/w) with
-    the analytic side computed from L-values at s=0."""
-    table = weil_tables.numberring_compact_table(inv)
-    rank = rank_weighted_euler(table)
-    predicted = SymbolicValue(Fraction(-inv.h, inv.w), {}, inv.R)
-    name = object_name or f"Spec O_F, disc {inv.disc}"
-    try:
-        analytic = dedekind_leading_at_0(inv)
-    except AnalyticSideUnavailable as exc:
-        return VerificationReport(
-            object=name,
-            invariants=_invariants_dict(inv),
-            weil_table=serialize_table(table),
-            rank_predicted=rank,
-            ord_computed=None,
-            special_value_predicted=predicted,
-            special_value_computed=None,
-            verdict=UNSUPPORTED,
-            tolerances={"value": tol},
-            caveats=[str(exc)],
-        )
-    computed = SymbolicValue(Fraction(1), {}, analytic.value)
-    value_ok = abs(computed.numeric() - predicted.numeric()) <= tol * max(
-        1.0, abs(predicted.numeric())
-    )
-    verdict = PASS if (analytic.ord == rank and value_ok) else FAIL
-    return VerificationReport(
-        object=name,
-        invariants=_invariants_dict(inv),
-        weil_table=serialize_table(table),
-        rank_predicted=rank,
-        ord_computed=analytic.ord,
-        special_value_predicted=predicted,
-        special_value_computed=computed,
-        verdict=verdict,
-        tolerances={"value": tol},
-        caveats=[],
-    )
-
-
-def pn_of_report(inv: NumberFieldInvariants, n: int,
-                 k_torsion: dict | None = None,
-                 tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Rank identity for P^n over a number ring: the motivic alternating
-    sum must equal the sum of zeta vanishing orders.  The determinant
-    side needs K-theory torsion plus zeta values off s=0 and is reported
-    rank-only."""
-    if n == 0:
-        return numberring_report(inv, tol, object_name=f"P^0 over O_F, disc {inv.disc}")
-    table = weil_tables.pn_of_table(inv, n, k_torsion)
-    rank = soule_rank(SchemeDescriptor("PnOverNumberRing", inv, n))
-    order = pn_of_order(inv, n)
-    caveats = list(table.caveats)
-    if weil_tables.UNKNOWN_TORSION_CAVEAT not in caveats:
-        caveats.append("analytic determinant unavailable for n >= 1")
-    return VerificationReport(
-        object=f"P^{n} over O_F, disc {inv.disc}",
-        invariants=_invariants_dict(inv),
-        weil_table=serialize_table(table),
-        rank_predicted=rank,
-        ord_computed=order,
-        special_value_predicted=None,
-        special_value_computed=None,
-        verdict=RANK_ONLY if rank == order else FAIL,
-        tolerances={},
-        caveats=caveats,
-    )
-
-
-def ff_report(variety, count_bound: int = 2**16) -> VerificationReport:
-    """Exact finite-field verification (both sides rational)."""
-    v = ff_zeta.verify_ff(variety, count_bound=count_bound)
-    if isinstance(variety, ff_zeta.ProjectiveSpace):
-        name = f"P^{variety.n} over F_{variety.q}"
-        table = weil_tables.pn_fq_table(variety.q, variety.n)
-        table_json = serialize_table(table)
-        invariants = {"q": variety.q, "n": variety.n}
-    else:
-        fstr = poly_to_str(variety.f)
-        name = f"curve y^2 = {fstr} over F_{variety.p} (genus {variety.genus})"
-        table_json = None  # no Weil table for curves; zeta side only
-        invariants = {"p": variety.p, "f": fstr, "genus": variety.genus}
-    sign = 1 if v.ord_predicted % 2 == 0 else -1
-    predicted = SymbolicValue.from_special_value(
-        ff_zeta.SpecialValue(
-            ord=v.ord_predicted,
-            mantissa=sign * v.torsion_predicted,
-            log_exponent=v.ord_predicted,
-            log_base=variety.q,
-        )
-    )
-    computed = SymbolicValue.from_special_value(v.special_value)
-    caveats = [f"failed: {nm}" for nm, ok in v.checks if not ok]
-    caveats.append("sign compared up to +-1")
-    return VerificationReport(
-        object=name,
-        invariants=invariants,
-        weil_table=table_json,
-        rank_predicted=v.ord_predicted,
-        ord_computed=v.special_value.ord,
-        special_value_predicted=predicted,
-        special_value_computed=computed,
-        verdict=PASS if v.ok else FAIL,
-        tolerances={"value": 0},
-        caveats=caveats,
-    )
-
-
-def open_report(base: VerificationReport, fibers) -> VerificationReport:
-    """Report for the open complement U of closed fibers Y_i inside X:
-    zeta multiplicativity makes orders and ranks subtract, and the
-    special value divide."""
-    fibers = list(fibers)
-    if not fibers:
-        return base
-    verdicts = [base.verdict] + [f.verdict for f in fibers]
-    if any(v == UNSUPPORTED for v in verdicts):
-        verdict = UNSUPPORTED
-    elif any(v == FAIL for v in verdicts):
-        verdict = FAIL
-    else:
-        verdict = None  # decided below
-    rank = ord_ = None
-    if base.rank_predicted is not None and all(f.rank_predicted is not None for f in fibers):
-        rank = base.rank_predicted - sum(f.rank_predicted for f in fibers)
-    if base.ord_computed is not None and all(f.ord_computed is not None for f in fibers):
-        ord_ = base.ord_computed - sum(f.ord_computed for f in fibers)
-    value = None
-    if base.special_value_computed is not None and all(
-        f.special_value_computed is not None for f in fibers
-    ):
-        value = base.special_value_computed
-        for f in fibers:
-            value = value / f.special_value_computed
-    if verdict is None:
-        verdict = PASS if (rank is not None and ord_ is not None and rank == ord_) else FAIL
-    caveats = sorted({c for r in [base, *fibers] for c in r.caveats})
-    removed = ", ".join(f.object for f in fibers) or "nothing"
-    return VerificationReport(
-        object=f"{base.object} minus [{removed}]",
-        invariants={},
-        weil_table=None,
-        rank_predicted=rank,
-        ord_computed=ord_,
-        special_value_predicted=None,
-        special_value_computed=value,
-        verdict=verdict,
-        tolerances={},
-        caveats=caveats,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +67,6 @@ def parse_poly(text: str) -> tuple:
         coeffs[deg] = coeffs.get(deg, 0) + coef
     top = max(coeffs)
     return tuple(coeffs.get(i, 0) for i in range(top + 1))
-
-
-def poly_to_str(coeffs) -> str:
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            term = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else str(abs(c))
-            term = f"{mag}x" + (f"^{i}" if i > 1 else "")
-        terms.append(("-" if c < 0 else "+", term))
-    if not terms:
-        return "0"
-    first_sign, first = terms[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, term in terms[1:]:
-        out += f"{sign}{term}"
-    return out
 
 
 def parse_k_torsion(path) -> dict:
@@ -335,6 +148,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not getattr(args, "tol", 0.0) >= 0:  # also rejects NaN
+            raise UsageError(f"--tol must be >= 0, got {args.tol}")
         if args.command == "numberring":
             report = numberring_report(_resolve_invariants(args), args.tol)
         elif args.command == "pn-of":
@@ -351,8 +166,6 @@ def run(argv=None) -> int:
             fibers = [load_report(f) for f in args.fibers]
             report = open_report(base, fibers)
         elif args.command == "suite":
-            from .acceptance import run_suite
-
             return 0 if run_suite(tol=args.tol) else 2
         else:  # pragma: no cover
             raise UsageError(f"unknown command {args.command!r}")

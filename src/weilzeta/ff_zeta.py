@@ -23,7 +23,6 @@ from math import comb
 
 import numpy as np
 
-from .lfunc import SpecialValue
 from .fgab import rank_weighted_euler, torsion_euler
 from .weil_tables import pn_fq_table
 
@@ -468,14 +467,14 @@ def _shifted_order_and_lead(coeffs):
     raise ValueError("zero polynomial factor")
 
 
-def special_value_s0(zeta: ZetaRational, q: int | None = None) -> SpecialValue:
-    """Order and leading Taylor coefficient of zeta(Y, s) = Z(Y, q^(-s))
-    at s=0, stored exactly as c * (ln q)^ord with rational c.
+def special_value_s0(zeta: ZetaRational) -> tuple:
+    """(ord, c): order and leading Taylor coefficient of
+    zeta(Y, s) = Z(Y, q^(-s)) at s=0, which is exactly c * (ln q)^ord
+    with rational c.
 
     If Z has leading coefficient Z1 * (t-1)^rho at t=1 then substituting
     t = q^(-s) gives zeta^*(0) = Z1 * (-ln q)^rho, so c = (-1)^rho Z1.
     """
-    q = q or zeta.q
     rho = 0
     lead = Fraction(1)
     for f in zeta.numerator_factors:
@@ -487,7 +486,7 @@ def special_value_s0(zeta: ZetaRational, q: int | None = None) -> SpecialValue:
         rho -= o
         lead /= l
     sign = 1 if rho % 2 == 0 else -1
-    return SpecialValue(ord=rho, mantissa=sign * lead, log_exponent=rho, log_base=q)
+    return rho, sign * lead
 
 
 def hasse_bound_holds(curve: CurveSpec, n1: int) -> bool:
@@ -502,7 +501,8 @@ def hasse_bound_holds(curve: CurveSpec, n1: int) -> bool:
 class FFVerification:
     variety: object
     zeta: ZetaRational
-    special_value: SpecialValue
+    ord: int  # zeta^*(0) = lead * (ln q)^ord
+    lead: Fraction
     ord_predicted: int
     torsion_predicted: Fraction
     checks: tuple  # ((name, ok), ...)
@@ -524,15 +524,15 @@ def verify_ff(variety, count_bound: int = 2**16) -> FFVerification:
     """
     if isinstance(variety, ProjectiveSpace):
         zeta = zeta_pn(variety.q, variety.n)
-        sv = special_value_s0(zeta)
+        rho, lead = special_value_s0(zeta)
         table = pn_fq_table(variety.q, variety.n)
         rho_pred = rank_weighted_euler(table)
         tors_pred = torsion_euler(table)
         checks = (
-            ("vanishing order equals rank Euler characteristic", sv.ord == rho_pred),
-            ("|mantissa| equals torsion Euler characteristic", abs(sv.mantissa) == tors_pred),
+            ("vanishing order equals rank Euler characteristic", rho == rho_pred),
+            ("|mantissa| equals torsion Euler characteristic", abs(lead) == tors_pred),
         )
-        return FFVerification(variety, zeta, sv, rho_pred, tors_pred, checks)
+        return FFVerification(variety, zeta, rho, lead, rho_pred, tors_pred, checks)
 
     if isinstance(variety, CurveSpec):
         q, g = variety.p, variety.genus
@@ -543,17 +543,17 @@ def verify_ff(variety, count_bound: int = 2**16) -> FFVerification:
         # up to max_m are checked against it
         counts = [count_points(variety, m) for m in range(1, max(g, max_m) + 1)]
         zeta = zeta_curve(variety, counts[:g])
-        sv = special_value_s0(zeta)
+        rho, lead = special_value_s0(zeta)
         p1 = curve_class_number(zeta)
         n1 = counts[0]
         checks = (
             ("functional equation", functional_equation_holds(zeta, g)),
             ("Hasse bound", hasse_bound_holds(variety, n1)),
             ("counts reproduced from Z(t)", expected_counts(zeta, max_m) == counts[:max_m]),
-            ("vanishing order is -1", sv.ord == -1),
-            ("|mantissa| (q-1) = P(1)", abs(sv.mantissa) * (q - 1) == p1),
+            ("vanishing order is -1", rho == -1),
+            ("|mantissa| (q-1) = P(1)", abs(lead) * (q - 1) == p1),
             ("P(1) recount", g != 1 or p1 == n1),
         )
-        return FFVerification(variety, zeta, sv, -1, Fraction(p1, q - 1), checks)
+        return FFVerification(variety, zeta, rho, lead, -1, Fraction(p1, q - 1), checks)
 
     raise TypeError(f"unsupported variety {variety!r}")

@@ -13,7 +13,7 @@ torsion side of the special-value predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -93,103 +93,82 @@ class IntMatrix:
         return [self[i, i] for i in range(min(self.rows, self.cols))]
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+def _eliminator(p, b):
+    """Unimodular [x y; z w] that maps (p, b) to (g, 0), g = gcd or p."""
+    if b % p == 0:
+        return 1, 0, -(b // p), 1
+    g, x, y = _xgcd(p, b)
+    return x, y, -b // g, p // g
 
 
 def smith_normal_form(M: IntMatrix):
     """Return (U, D, V) with U*M*V = D, U and V unimodular, D diagonal
-    with d_1 | d_2 | ... and nonnegative diagonal entries."""
+    with d_1 | d_2 | ... and nonnegative diagonal entries.
+
+    Each entry is cleared against the pivot by one 2x2 Bezout transform,
+    so the pivot only ever shrinks to a gcd and entries stay small."""
     r, c = M.rows, M.cols
     a = M.to_rows()
     u = IntMatrix.identity(r).to_rows()
     v = IntMatrix.identity(c).to_rows()
 
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        for k in range(c):
-            a[i][k] -= q * a[j][k]
-        for k in range(r):
-            u[i][k] -= q * u[j][k]
+    def rows(i, j, x, y, z, w):
+        # (row_i, row_j) <- (x row_i + y row_j, z row_i + w row_j)
+        for m in (a, u):
+            m[i], m[j] = ([x * e + y * f for e, f in zip(m[i], m[j])],
+                          [z * e + w * f for e, f in zip(m[i], m[j])])
 
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+    def cols(i, j, x, y, z, w):
+        # (col_i, col_j) <- (x col_i + y col_j, z col_i + w col_j)
+        for m in (a, v):
+            for row in m:
+                row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
 
-    t = 0
-    while t < min(r, c):
+    for t in range(min(r, c)):
         # smallest nonzero pivot in the trailing submatrix
-        pivot = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, r) for j in range(t, c) if a[i][j]]
+        if not nonzero:
             break
-        if pivot[0] != t:
-            _swap_rows(a, t, pivot[0])
-            _swap_rows(u, t, pivot[0])
-        if pivot[1] != t:
-            _swap_cols(a, t, pivot[1])
-            _swap_cols(v, t, pivot[1])
-
+        _, i, j = min(nonzero)
+        if i != t:
+            rows(t, i, 0, 1, 1, 0)
+        if j != t:
+            cols(t, j, 0, 1, 1, 0)
         while True:
-            dirty = False
             for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        # remainder became the smaller pivot
-                        _swap_rows(a, t, i)
-                        _swap_rows(u, t, i)
-                        dirty = True
+                if a[i][t]:
+                    rows(t, i, *_eliminator(a[t][t], a[i][t]))
             for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        _swap_cols(a, t, j)
-                        _swap_cols(v, t, j)
-                        dirty = True
-            if dirty:
-                continue
+                if a[t][j]:
+                    cols(t, j, *_eliminator(a[t][t], a[t][j]))
+            if any(a[i][t] for i in range(t + 1, r)):
+                continue  # a column transform refilled column t
             # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                             if a[i][j] % a[t][t]), None)
             if offender is None:
                 break
-            row_op(t, offender, -1)  # add offending row to pivot row
-
+            rows(t, offender, 1, 1, 0, 1)  # add offending row to pivot row
         if a[t][t] < 0:
-            row_op(t, t, 2)  # negate row t
-        t += 1
+            for m in (a, u):
+                m[t] = [-e for e in m[t]]
 
     return (
         IntMatrix.from_rows(u) if r else IntMatrix(0, 0, ()),
         IntMatrix.from_rows(a) if r else IntMatrix(0, c, ()),
         IntMatrix.from_rows(v) if c else IntMatrix(0, 0, ()),
     )
-
-
-def invariant_factors(M: IntMatrix):
-    """Nontrivial invariant factors d_1 | d_2 | ... of coker(M)."""
-    _, d, _ = smith_normal_form(M)
-    return [x for x in d.diagonal() if x not in (0, 1)]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ values.  No analytic continuation machinery is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .number_field import NumberFieldInvariants, is_fundamental, InvariantsError
@@ -19,39 +18,6 @@ from .number_field import NumberFieldInvariants, is_fundamental, InvariantsError
 
 class AnalyticSideUnavailable(ValueError):
     """The analytic side is only computed for Q and quadratic fields."""
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """Vanishing order and leading Taylor coefficient of a zeta function
-    at s=0.
-
-    Either ``value`` holds the leading coefficient as a real number, or
-    ``mantissa``/``log_exponent``/``log_base`` hold it exactly as
-    c * (ln q)^e.  Negative ``ord`` means a pole.
-    """
-
-    ord: int
-    value: float | None = None
-    mantissa: Fraction | None = None
-    log_exponent: int | None = None
-    log_base: int | None = None
-
-    def __post_init__(self):
-        exact = self.mantissa is not None
-        if exact == (self.value is not None):
-            raise ValueError("exactly one of value / (mantissa, log exponent) required")
-        if exact and (self.log_exponent is None or self.log_base is None):
-            raise ValueError("exact form needs log_exponent and log_base")
-
-    @property
-    def is_exact(self):
-        return self.mantissa is not None
-
-    def numeric(self) -> float:
-        if self.value is not None:
-            return self.value
-        return float(self.mantissa) * math.log(self.log_base) ** self.log_exponent
 
 
 def kronecker(a: int, n: int) -> int:
@@ -82,13 +48,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (relative accuracy ~1e-14)."""
-    if x <= 0:
-        raise ValueError("log_gamma needs x > 0")
-    return math.lgamma(x)
-
-
 def l_at_0(D: int) -> Fraction:
     """L(0, chi_D) as an exact rational: sum chi(a) * (1/2 - a/|D|) over
     one period.  Vanishes exactly for even characters (D > 0)."""
@@ -107,24 +66,25 @@ def l_prime_at_0(D: int) -> float:
     if D <= 1 or not is_fundamental(D):
         raise InvariantsError(f"D={D} is not a fundamental discriminant > 1")
     return math.fsum(
-        kronecker(D, a) * log_gamma(a / D) for a in range(1, D) if kronecker(D, a)
+        kronecker(D, a) * math.lgamma(a / D) for a in range(1, D) if kronecker(D, a)
     )
 
 
-def dedekind_leading_at_0(inv: NumberFieldInvariants) -> SpecialValue:
-    """Vanishing order and leading coefficient of zeta_F at s=0 for F of
-    degree <= 2, from zeta_F = zeta * L(chi_D) and zeta(0) = -1/2.
+def dedekind_leading_at_0(inv: NumberFieldInvariants) -> tuple:
+    """(ord, value): vanishing order and leading coefficient of zeta_F at
+    s=0 for F of degree <= 2, from zeta_F = zeta * L(chi_D) and
+    zeta(0) = -1/2.
 
     The order is decided by an exact rationality test on L(0): order 0
     when L(0) != 0, otherwise order 1 with the numeric L'(0).
     """
     if (inv.r1, inv.r2) == (1, 0):
-        return SpecialValue(ord=0, value=-0.5)  # zeta(0) for Q itself
+        return 0, -0.5  # zeta(0) for Q itself
     if inv.r1 + 2 * inv.r2 != 2 or not is_fundamental(inv.disc) or abs(inv.disc) <= 1:
         raise AnalyticSideUnavailable(
             f"analytic side unavailable for degree {inv.r1 + 2 * inv.r2}, disc {inv.disc}"
         )
     l0 = l_at_0(inv.disc)
     if l0 != 0:
-        return SpecialValue(ord=0, value=float(-l0 / 2))
-    return SpecialValue(ord=1, value=-l_prime_at_0(inv.disc) / 2)
+        return 0, float(-l0 / 2)
+    return 1, -l_prime_at_0(inv.disc) / 2

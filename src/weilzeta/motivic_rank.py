@@ -10,30 +10,7 @@ through the projective bundle decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional
-
 from .number_field import NumberFieldInvariants
-
-SchemeKind = Literal["NumberRing", "PnOverNumberRing", "PnOverFq", "Curve"]
-
-
-@dataclass(frozen=True)
-class SchemeDescriptor:
-    kind: SchemeKind
-    inv: Optional[NumberFieldInvariants] = None
-    n: Optional[int] = None
-    q: Optional[int] = None
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "NumberRing":
-            return 1
-        if self.kind == "PnOverNumberRing":
-            return self.n + 1
-        if self.kind == "PnOverFq":
-            return self.n
-        return 1  # Curve
 
 
 def borel_dim(inv: NumberFieldInvariants, r: int) -> int:
@@ -55,18 +32,17 @@ def zeta_order_at(inv: NumberFieldInvariants, j: int) -> int:
     return inv.r2 if j % 2 == 1 else inv.r1 + inv.r2
 
 
-def soule_rank(scheme: SchemeDescriptor) -> int:
-    """Alternating sum over j of (-1)^(j+1) dim H^j(X, Q(d)), d = dim X.
+def soule_rank(inv: NumberFieldInvariants, n: int) -> int:
+    """Alternating sum over j of (-1)^(j+1) dim H^j(X, Q(d)) for X = P^n
+    over O_F, d = dim X = n + 1 (n = 0 is the ring itself).
 
-    For P^n over O_F the dimensions decompose through the projective
-    bundle into base-ring groups H^(j-2k)(O_F, Q(n+1-k)); only the
-    degree-1 groups survive, so the sum is a sum of Borel ranks.
+    The dimensions decompose through the projective bundle into
+    base-ring groups H^(j-2k)(O_F, Q(n+1-k)); only the degree-1 groups
+    survive, so the sum is a sum of Borel ranks.
     """
-    if scheme.kind == "NumberRing":
-        return borel_dim(scheme.inv, 1)
-    if scheme.kind == "PnOverNumberRing":
-        return sum(borel_dim(scheme.inv, r) for r in range(1, scheme.n + 2))
-    raise ValueError(f"soule_rank unsupported for kind {scheme.kind}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return sum(borel_dim(inv, r) for r in range(1, n + 2))
 
 
 def pn_of_order(inv: NumberFieldInvariants, n: int) -> int:

@@ -152,7 +152,10 @@ def fundamental_unit_real(D: int, max_steps: int = 100_000):
                 x, y = abs(gamma + 2 * delta), abs(gamma)
             if y == 0 or x * x - D * y * y not in (4, -4):
                 raise InvariantsError(f"unit search failed for D={D}")
-            reg = math.log((x + y * math.sqrt(D)) / 2)
+            try:
+                reg = math.log((x + y * math.sqrt(D)) / 2)
+            except OverflowError:  # x + y sqrt(D) = 2x -+ 4/(x + y sqrt(D)): log x is exact
+                reg = math.log(x)
             return (x, y), reg
         seen[(p, q)] = k
         mats.append(m)
@@ -163,13 +166,6 @@ def fundamental_unit_real(D: int, max_steps: int = 100_000):
         if q == 0:
             raise InvariantsError("square discriminant slipped through")
     raise InvariantsError(f"period bound exceeded for D={D}")
-
-
-def unit_norm(D: int) -> int:
-    """Norm (+1 or -1) of the fundamental unit of the real field of
-    discriminant D."""
-    (x, y), _ = fundamental_unit_real(D)
-    return (x * x - D * y * y) // 4
 
 
 def _reduced_indefinite_forms(D: int):
@@ -211,23 +207,21 @@ def _rho(form, D: int, s: int):
 def class_number_real(D: int) -> int:
     """Class number of the real quadratic field of discriminant D > 0:
     count rho-cycles of reduced indefinite forms (the narrow class
-    number), halved when the fundamental unit has norm +1."""
+    number), halved when the fundamental unit has norm +1.  The norm is
+    -1 exactly when the principal form (1, b, c) and its negative
+    (-1, b, -c) share a cycle, so the unit itself is not needed."""
     if D <= 0 or not is_fundamental(D):
         raise InvariantsError(f"D={D} is not a fundamental discriminant > 0")
     s = isqrt(D)
-    forms = _reduced_indefinite_forms(D)
-    remaining = set(forms)
-    cycles = 0
-    while remaining:
-        start = next(iter(remaining))
+    cycle_of = {}
+    for start in _reduced_indefinite_forms(D):
         f = start
-        while True:
-            remaining.discard(f)
+        while f not in cycle_of:
+            cycle_of[f] = start
             f = _rho(f, D, s)
-            if f == start:
-                break
-        cycles += 1
-    if unit_norm(D) == -1:
+    cycles = len(set(cycle_of.values()))
+    b = s if (D - s) % 2 == 0 else s - 1  # both forms below are reduced
+    if cycle_of[(1, b, (b * b - D) // 4)] == cycle_of[(-1, b, (D - b * b) // 4)]:
         return cycles
     if cycles % 2:
         raise InvariantsError(f"odd narrow class number with norm +1 unit, D={D}")

@@ -16,35 +16,12 @@ reproduce the exact zeta special value (the zeta side is the oracle).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .fgab import FgAb, GradedTable, Z, extend
-from .lfunc import SpecialValue
 from .motivic_rank import borel_dim
 from .number_field import NumberFieldInvariants
 
 MOD2_CAVEAT = "mod 2-torsion"
 UNKNOWN_TORSION_CAVEAT = "k-torsion unknown"
-
-
-@dataclass(frozen=True)
-class ThetaComplexReport:
-    """Real-coefficient complex (H^*_{W,c} tensor R, cup theta)."""
-
-    degrees: tuple  # ((i, dim_i), ...)
-    acyclic: bool
-    determinant_factor: float
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * d for i, d in self.degrees)
-
-
-def numberring_table(inv: NumberFieldInvariants) -> GradedTable:
-    """H^i_W(Spec O_F bar, Z): Z, 0, extension of Hom(O_F^x, Z) by
-    Cl(F)^D, mu_F^D."""
-    h2 = extend(FgAb(0, inv.h), FgAb(inv.unit_rank, 1))
-    return GradedTable({0: Z, 2: h2, 3: FgAb(0, inv.w)}, dim=1)
 
 
 def numberring_compact_table(inv: NumberFieldInvariants) -> GradedTable:
@@ -54,22 +31,6 @@ def numberring_compact_table(inv: NumberFieldInvariants) -> GradedTable:
     h2 = extend(FgAb(0, inv.h), FgAb(inv.unit_rank, 1))
     return GradedTable(
         {1: FgAb(inv.unit_rank, 1), 2: h2, 3: FgAb(0, inv.w)}, dim=1
-    )
-
-
-def numberring_special_value(inv: NumberFieldInvariants) -> SpecialValue:
-    """Cohomological prediction: ord = r1+r2-1 and zeta_F^*(0) = -hR/w."""
-    return SpecialValue(ord=inv.unit_rank, value=-inv.h * inv.R / inv.w)
-
-
-def theta_acyclicity(inv: NumberFieldInvariants) -> ThetaComplexReport:
-    """The theta-complex of a number ring is the identity map between two
-    copies of R^(r1+r2-1); its determinant carries the regulator."""
-    u = inv.unit_rank
-    return ThetaComplexReport(
-        degrees=((1, u), (2, u)),
-        acyclic=True,
-        determinant_factor=inv.R if u > 0 else 1.0,
     )
 
 

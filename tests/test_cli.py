@@ -5,17 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilzeta.cli import (
-    UsageError,
-    ff_report,
-    numberring_report,
-    open_report,
-    parse_k_torsion,
-    parse_poly,
-    pn_of_report,
-    poly_to_str,
-    run,
-)
+from weilzeta.cli import UsageError, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import NumberFieldInvariants, quad_invariants
 from weilzeta.reports import (
@@ -23,9 +13,13 @@ from weilzeta.reports import (
     PASS,
     RANK_ONLY,
     UNSUPPORTED,
-    SymbolicValue,
     emit_report,
+    ff_report,
+    numberring_report,
+    open_report,
     parse_report,
+    pn_of_report,
+    poly_to_str,
 )
 
 
@@ -243,3 +237,47 @@ def test_cli_open_fail_exit_code(tmp_path):
 def test_run_in_process():
     assert run(["numberring", "--disc", "-3"]) == 0
     assert run(["numberring", "--disc", "7"]) == 1
+
+
+@pytest.mark.parametrize(
+    "doctor,message",
+    [
+        (lambda report: [1, 2], "not a JSON object"),
+        (lambda report: {"object": "x"}, "lacks key(s): invariants"),
+        (lambda report: {**report, "verdict": "MAYBE"}, "unknown verdict 'MAYBE'"),
+    ],
+    ids=["not-object", "missing-key", "unknown-verdict"],
+)
+def test_cli_open_malformed_report(tmp_path, capsys, doctor, message):
+    report = json.loads(emit_report(ff_report(ProjectiveSpace(3, 0)), as_json=True))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doctor(report)))
+    assert run(["open", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cli_rejects_bad_tol(capsys, tol):
+    for argv in (["numberring", "--disc", "-4"], ["pn-of", "--disc", "5", "--n", "1"], ["suite"]):
+        assert run([*argv, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --tol must be >= 0, got {float(tol)}\n"
+
+
+def test_cli_pn_of_huge_regulator():
+    # the fundamental unit of Q(sqrt 317281) is too large for a float
+    proc = subprocess.run(
+        [sys.executable, "-m", "weilzeta.cli", "pn-of", "--disc", "317281", "--n", "4"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "verdict:           RANK_ONLY" in proc.stdout
+
+
+def test_acceptance_does_not_import_cli():
+    code = "import sys, weilzeta.acceptance; print('weilzeta.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -344,26 +344,24 @@ def test_zeta_factors_validated():
 # special values at s=0
 
 def test_special_value_point():
-    sv = special_value_s0(zeta_pn(5, 0))
-    assert sv.ord == -1
-    assert sv.mantissa == 1
-    assert sv.log_base == 5 and sv.log_exponent == -1
+    # zeta*(0) = 1 * (ln 5)^-1
+    assert special_value_s0(zeta_pn(5, 0)) == (-1, 1)
 
 
 def test_special_value_p2():
     # P^2 over F_q: simple pole, |c| = 1 / ((q-1)(q^2-1))
     for q in (2, 3, 4, 5):
-        sv = special_value_s0(zeta_pn(q, 2))
-        assert sv.ord == -1
-        assert abs(sv.mantissa) == Fraction(1, (q - 1) * (q**2 - 1))
+        ord_, c = special_value_s0(zeta_pn(q, 2))
+        assert ord_ == -1
+        assert abs(c) == Fraction(1, (q - 1) * (q**2 - 1))
 
 
 def test_special_value_elliptic():
     # |c| (q - 1) = P(1)
     c = CurveSpec(5, (0, -1, 0, 1))
-    sv = special_value_s0(zeta_curve(c))
-    assert sv.ord == -1
-    assert abs(sv.mantissa) * 4 == 8
+    ord_, lead = special_value_s0(zeta_curve(c))
+    assert ord_ == -1
+    assert abs(lead) * 4 == 8
 
 
 def test_verify_ff_projective_spaces():
@@ -383,13 +381,13 @@ def test_verify_ff_curves():
     ):
         v = verify_ff(c)
         assert v.ok, v.checks
-        assert v.special_value.ord == -1
+        assert v.ord == -1
 
 
 def test_verify_ff_deterministic():
     a = verify_ff(CurveSpec(5, (0, -1, 0, 1)))
     b = verify_ff(CurveSpec(5, (0, -1, 0, 1)))
-    assert a.zeta == b.zeta and a.special_value == b.special_value
+    assert a.zeta == b.zeta and (a.ord, a.lead) == (b.ord, b.lead)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -11,7 +14,6 @@ from weilzeta.fgab import (
     Z,
     cokernel,
     extend,
-    invariant_factors,
     rank_weighted_euler,
     smith_normal_form,
     torsion_euler,
@@ -53,28 +55,57 @@ def test_snf_gcd_row():
     assert (u @ m @ v).entries == d.entries
 
 
+def assert_snf(m, u, d, v):
+    rows, cols = m.rows, m.cols
+    assert (u @ m @ v).entries == d.entries
+    assert abs(u.determinant()) == 1
+    assert abs(v.determinant()) == 1
+    diag = d.diagonal()
+    for i in range(len(diag) - 1):
+        if diag[i] == 0:
+            assert diag[i + 1] == 0
+        else:
+            assert diag[i + 1] % diag[i] == 0
+    assert all(d[i, j] == 0 for i in range(rows) for j in range(cols) if i != j)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_snf_random_properties(seed):
     rng = random.Random(seed)
-    for _ in range(100):
-        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+    for trial in range(120):
+        size = 6 if trial < 100 else 7
+        rows, cols = rng.randint(0, size), rng.randint(0, size)
         m = IntMatrix(rows, cols, tuple(rng.randint(-10, 10) for _ in range(rows * cols)))
-        u, d, v = smith_normal_form(m)
-        assert (u @ m @ v).entries == d.entries
-        assert abs(u.determinant()) == 1
-        assert abs(v.determinant()) == 1
-        diag = d.diagonal()
-        for i in range(len(diag) - 1):
-            if diag[i] == 0:
-                assert diag[i + 1] == 0
-            else:
-                assert diag[i + 1] % diag[i] == 0
-        assert all(d[i, j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        assert_snf(m, *smith_normal_form(m))
 
 
-def test_invariant_factors_divisibility():
+BLOWUP_ROWS = [
+    [-3, -5, -9, 6, 10, -4],
+    [7, -7, -10, 9, -9, 3],
+    [-10, -10, 7, -10, -2, 3],
+    [-9, -9, 6, 7, 9, 8],
+    [-3, 5, 7, 6, 5, -4],
+]
+
+
+def test_snf_finishes_without_coefficient_blowup():
+    # remainder swaps once grew this matrix to 3,500-bit entries and never
+    # finished; run it apart so that a hang ends in a timeout
+    code = (
+        "import json\nfrom weilzeta.fgab import IntMatrix, smith_normal_form\n"
+        f"out = smith_normal_form(IntMatrix.from_rows({BLOWUP_ROWS!r}))\n"
+        "print(json.dumps([x.to_rows() for x in out]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    u, d, v = (IntMatrix.from_rows(rows) for rows in json.loads(proc.stdout))
+    assert_snf(IntMatrix.from_rows(BLOWUP_ROWS), u, d, v)
+    assert d.diagonal() == [1, 1, 1, 1, 87]
+
+
+def test_cokernel_factors_divisibility():
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    factors = invariant_factors(m)
+    factors = cokernel(m).factors
     for i in range(len(factors) - 1):
         assert factors[i + 1] % factors[i] == 0
 

@@ -6,12 +6,10 @@ import pytest
 
 from weilzeta.lfunc import (
     AnalyticSideUnavailable,
-    SpecialValue,
     dedekind_leading_at_0,
     kronecker,
     l_at_0,
     l_prime_at_0,
-    log_gamma,
 )
 from weilzeta.number_field import (
     InvariantsError,
@@ -72,18 +70,6 @@ def test_kronecker_periodicity_fundamental():
                 assert kronecker(D, a) == 0
 
 
-def test_log_gamma_recursion_and_values():
-    # ln Gamma(x+1) = ln Gamma(x) + ln x
-    x = 0.1
-    while x < 10:
-        assert abs(log_gamma(x + 1) - (log_gamma(x) + math.log(x))) < 1e-11
-        x += 0.0837
-    assert abs(log_gamma(1.0)) < 1e-14
-    assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-14
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-
-
 def test_l_at_0_class_number_formula():
     # for imaginary quadratic fields L(0, chi_D) = 2h/w exactly
     for D in range(-50, 0):
@@ -109,23 +95,22 @@ def test_l_prime_at_0_class_number_formula():
 
 
 def test_dedekind_leading_rationals():
-    sv = dedekind_leading_at_0(RATIONALS)
-    assert sv.ord == 0 and sv.value == -0.5
+    assert dedekind_leading_at_0(RATIONALS) == (0, -0.5)
 
 
 def test_dedekind_leading_gaussian():
     # Q(i): h=1, w=4, zeta*(0) = -hR/w = -1/4
-    sv = dedekind_leading_at_0(quad_invariants(-4))
-    assert sv.ord == 0
-    assert abs(sv.value - (-0.25)) < 1e-15
+    ord_, value = dedekind_leading_at_0(quad_invariants(-4))
+    assert ord_ == 0
+    assert abs(value - (-0.25)) < 1e-15
 
 
 def test_dedekind_leading_real_quadratic():
     # Q(sqrt 5): ord 1, zeta*(0) = -hR/w = -ln((1+sqrt5)/2)/2
-    sv = dedekind_leading_at_0(quad_invariants(5))
-    assert sv.ord == 1
+    ord_, value = dedekind_leading_at_0(quad_invariants(5))
+    assert ord_ == 1
     expected = -math.log((1 + math.sqrt(5)) / 2) / 2
-    assert abs(sv.value - expected) < 1e-12
+    assert abs(value - expected) < 1e-12
 
 
 def test_dedekind_matches_minus_h_r_over_w():
@@ -133,9 +118,9 @@ def test_dedekind_matches_minus_h_r_over_w():
         if D in (0, 1) or not is_fundamental(D):
             continue
         inv = quad_invariants(D)
-        sv = dedekind_leading_at_0(inv)
-        assert sv.ord == inv.unit_rank
-        assert abs(sv.numeric() - (-inv.h * inv.R / inv.w)) < 1e-8
+        ord_, value = dedekind_leading_at_0(inv)
+        assert ord_ == inv.unit_rank
+        assert abs(value - (-inv.h * inv.R / inv.w)) < 1e-8
 
 
 def test_dedekind_unavailable_for_higher_degree():
@@ -150,11 +135,3 @@ def test_l_at_0_rejects_non_fundamental():
     with pytest.raises(InvariantsError):
         l_prime_at_0(-3)
 
-
-def test_special_value_exclusive_forms():
-    with pytest.raises(ValueError):
-        SpecialValue(ord=0)
-    with pytest.raises(ValueError):
-        SpecialValue(ord=0, value=1.0, mantissa=Fraction(1), log_exponent=0, log_base=2)
-    exact = SpecialValue(ord=2, mantissa=Fraction(1, 3), log_exponent=2, log_base=2)
-    assert abs(exact.numeric() - math.log(2) ** 2 / 3) < 1e-15

@@ -1,12 +1,6 @@
 import pytest
 
-from weilzeta.motivic_rank import (
-    SchemeDescriptor,
-    borel_dim,
-    pn_of_order,
-    soule_rank,
-    zeta_order_at,
-)
+from weilzeta.motivic_rank import borel_dim, pn_of_order, soule_rank, zeta_order_at
 from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
 
 FUNDAMENTAL = [d for d in range(-60, 60) if d not in (0, 1) and is_fundamental(d)]
@@ -51,9 +45,7 @@ def test_zeta_order_rationals():
 def test_soule_rank_number_ring_is_unit_rank():
     for d in FUNDAMENTAL:
         inv = quad_invariants(d)
-        desc = SchemeDescriptor("NumberRing", inv=inv)
-        assert soule_rank(desc) == inv.unit_rank
-        assert desc.dim == 1
+        assert soule_rank(inv, 0) == inv.unit_rank
 
 
 def test_soule_rank_equals_pn_of_order():
@@ -61,9 +53,7 @@ def test_soule_rank_equals_pn_of_order():
     for d in [1] + FUNDAMENTAL:
         inv = RATIONALS if d == 1 else quad_invariants(d)
         for n in range(0, 7):
-            desc = SchemeDescriptor("PnOverNumberRing", inv=inv, n=n)
-            assert soule_rank(desc) == pn_of_order(inv, n)
-            assert desc.dim == n + 1
+            assert soule_rank(inv, n) == pn_of_order(inv, n)
 
 
 def test_pn_of_order_degree_sum():
@@ -74,8 +64,8 @@ def test_pn_of_order_degree_sum():
     assert pn_of_order(RATIONALS, 3) == 1
 
 
-def test_soule_rank_unsupported_kind():
+def test_soule_rank_and_pn_of_order_reject_negative_n():
     with pytest.raises(ValueError):
-        soule_rank(SchemeDescriptor("PnOverFq", q=4, n=2))
+        soule_rank(RATIONALS, -1)
     with pytest.raises(ValueError):
         pn_of_order(RATIONALS, -1)

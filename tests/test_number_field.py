@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
+from weilzeta.lfunc import l_prime_at_0
 from weilzeta.number_field import (
     InvariantsError,
     NumberFieldInvariants,
@@ -15,7 +17,6 @@ from weilzeta.number_field import (
     parse_invariants,
     quad_invariants,
     squarefree_part,
-    unit_norm,
 )
 
 
@@ -133,9 +134,26 @@ def test_class_number_real_known_values():
 
 
 def test_unit_norm():
-    assert unit_norm(5) == -1
-    assert unit_norm(12) == 1
-    assert unit_norm(40) == -1
+    # the norm of the fundamental unit decides whether class_number_real
+    # halves the narrow class number; check it against L'(0) = hR
+    for d, norm in ((5, -1), (12, 1), (40, -1)):
+        (x, y), _ = fundamental_unit_real(d)
+        assert (x * x - d * y * y) // 4 == norm
+    for d in fundamental_range(2, 400):
+        inv = quad_invariants(d)
+        assert round(l_prime_at_0(d) / inv.R) == inv.h
+
+
+def test_quad_invariants_huge_regulator():
+    # x + y sqrt(D) overflows a float here; the regulator is log x
+    inv = quad_invariants(326561)
+    assert math.isfinite(inv.R) and inv.R > 709.8
+    (x, y), reg = fundamental_unit_real(326561)
+    assert x * x - 326561 * y * y in (4, -4)
+    assert reg == inv.R
+    # log((x + y sqrt D) / 2) = log x + log((1 + (y/x) sqrt D) / 2)
+    expected = math.log(x) + math.log((1 + float(Fraction(y, x)) * math.sqrt(326561)) / 2)
+    assert math.isclose(reg, expected, rel_tol=1e-15)
 
 
 def test_quad_invariants():

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from weilzeta.lfunc import SpecialValue
 from weilzeta.reports import (
     EXIT_CODES,
     FAIL,
@@ -12,11 +11,16 @@ from weilzeta.reports import (
     RANK_ONLY,
     UNSUPPORTED,
     SymbolicValue,
+    VerificationReport,
     emit_report,
+    ff_report,
+    ff_value,
+    numberring_report,
     parse_report,
+    pn_of_report,
 )
-from weilzeta.cli import ff_report, numberring_report, pn_of_report
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
+from weilzeta.lfunc import dedekind_leading_at_0
 from weilzeta.number_field import quad_invariants
 
 
@@ -38,18 +42,21 @@ def test_symbolic_equality_ignores_zero_exponents():
     assert SymbolicValue(Fraction(1), {2: 0}) == SymbolicValue(Fraction(1), {})
 
 
-def test_symbolic_from_special_value_prime_power_base():
+def test_ff_value_folds_prime_power_base():
     # ln(9)^e = (2 ln 3)^e folds 2^e into the mantissa
-    sv = SpecialValue(ord=-1, mantissa=Fraction(1, 8), log_exponent=-1, log_base=9)
-    v = SymbolicValue.from_special_value(sv)
-    assert v.mantissa == Fraction(1, 16)
-    assert v.log_exponents == {3: -1}
-    assert abs(v.numeric() - sv.numeric()) < 1e-15
+    v = ff_value(Fraction(1, 8), -1, 9)
+    assert v == SymbolicValue(Fraction(1, 16), {3: -1})
+    assert abs(v.numeric() - Fraction(1, 8) / math.log(9)) < 1e-15
+    # a prime base keeps the mantissa; exponent 0 leaves no log factor
+    assert ff_value(Fraction(-2, 3), 2, 5) == SymbolicValue(Fraction(-2, 3), {5: 2})
+    assert ff_value(Fraction(3), 0, 8) == SymbolicValue(Fraction(3), {})
 
 
-def test_symbolic_from_special_value_numeric():
-    v = SymbolicValue.from_special_value(SpecialValue(ord=1, value=-0.25))
-    assert v.mantissa == 1 and v.real_factor == -0.25
+def test_numberring_value_is_a_real_factor():
+    # the analytic zeta*(0) is a float, carried as 1 * real_factor
+    inv = quad_invariants(5)
+    v = numberring_report(inv).special_value_computed
+    assert v == SymbolicValue(Fraction(1), {}, dedekind_leading_at_0(inv)[1])
 
 
 def test_symbolic_json_roundtrip():
@@ -94,3 +101,44 @@ def test_json_output_is_stable():
         "special_value_predicted", "special_value_computed", "verdict",
         "tolerances", "caveats",
     ]
+
+
+_KEYS = (
+    "object", "invariants", "weil_table", "rank_predicted", "ord_computed",
+    "special_value_predicted", "special_value_computed", "verdict",
+    "tolerances", "caveats",
+)
+
+
+def test_parse_report_arbitrary_json_is_report_or_value_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=4,
+    )
+    # most arbitrary JSON misses a key; the second strategy has them all,
+    # with a valid verdict and value-shaped special values at times, so
+    # that the special values get parsed too
+    value_shaped = st.fixed_dictionaries(
+        {"mantissa": scalars, "log_exponents": values, "real_factor": scalars})
+    fields = {k: scalars for k in _KEYS}
+    fields["verdict"] = st.sampled_from(sorted(EXIT_CODES)) | scalars
+    for key in ("special_value_predicted", "special_value_computed"):
+        fields[key] = values | value_shaped
+    reports = values | st.fixed_dictionaries(fields)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(reports)
+    def check(obj):
+        try:
+            report = parse_report(json.dumps(obj))
+        except ValueError:
+            return
+        assert isinstance(report, VerificationReport)
+        assert report.verdict in EXIT_CODES
+
+    check()

@@ -1,43 +1,45 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from weilzeta.fgab import rank_weighted_euler, torsion_euler
-from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
+from weilzeta.fgab import FgAb, GradedTable, Z, rank_weighted_euler, torsion_euler
+from weilzeta.number_field import is_fundamental, quad_invariants
 from weilzeta.weil_tables import (
     MOD2_CAVEAT,
     UNKNOWN_TORSION_CAVEAT,
     numberring_compact_table,
-    numberring_special_value,
-    numberring_table,
     pn_fq_table,
     pn_of_table,
-    theta_acyclicity,
 )
 
 FUNDAMENTAL = [d for d in range(-60, 60) if d not in (0, 1) and is_fundamental(d)]
 
 
-def test_numberring_table_gaussian():
+def plain_table(inv):
+    """H^i_W(Spec O_F bar, Z): Z, 0, an extension of Hom(O_F^x, Z) by
+    Cl(F)^D, and mu_F^D."""
+    return GradedTable({0: Z, 2: FgAb(inv.unit_rank, inv.h), 3: FgAb(0, inv.w)}, dim=1)
+
+
+def test_pn_of_table_n0_gaussian():
     # Z[i]: H^0 = Z, H^2 = 0, H^3 = Z/4
-    table = numberring_table(quad_invariants(-4))
+    table = pn_of_table(quad_invariants(-4), 0)
     assert table[0].rank == 1 and table[0].torsion_order == 1
     assert table[1].is_trivial
     assert table[2].is_trivial
     assert (table[3].rank, table[3].torsion_order) == (0, 4)
 
 
-def test_numberring_table_h_23():
+def test_pn_of_table_n0_h_23():
     # Q(sqrt -23): class number 3 shows up in H^2
-    table = numberring_table(quad_invariants(-23))
+    table = pn_of_table(quad_invariants(-23), 0)
     assert (table[2].rank, table[2].torsion_order) == (0, 3)
     assert (table[3].rank, table[3].torsion_order) == (0, 2)
 
 
-def test_numberring_table_real_quadratic():
+def test_pn_of_table_n0_real_quadratic():
     # Q(sqrt 5): H^2 has rank 1 (one unit), H^3 = Z/2
-    table = numberring_table(quad_invariants(5))
+    table = pn_of_table(quad_invariants(5), 0)
     assert (table[2].rank, table[2].torsion_order) == (1, 1)
     assert (table[3].rank, table[3].torsion_order) == (0, 2)
 
@@ -45,7 +47,7 @@ def test_numberring_table_real_quadratic():
 def test_compact_table_agrees_above_degree_one():
     for d in FUNDAMENTAL:
         inv = quad_invariants(d)
-        plain = numberring_table(inv)
+        plain = plain_table(inv)
         compact = numberring_compact_table(inv)
         for i in (2, 3):
             assert plain[i] == compact[i]
@@ -63,33 +65,11 @@ def test_compact_euler_characteristics():
         assert torsion_euler(table) == Fraction(inv.h, inv.w)
 
 
-def test_numberring_special_value():
-    sv = numberring_special_value(quad_invariants(-4))
-    assert sv.ord == 0 and abs(sv.value + 0.25) < 1e-15
-    sv = numberring_special_value(RATIONALS)
-    assert sv.ord == 0 and sv.value == -0.5
-    inv = quad_invariants(5)
-    sv = numberring_special_value(inv)
-    assert sv.ord == 1 and abs(sv.value + inv.R / 2) < 1e-15
-
-
-def test_theta_acyclicity():
-    for d in FUNDAMENTAL:
-        inv = quad_invariants(d)
-        report = theta_acyclicity(inv)
-        assert report.acyclic
-        assert report.euler_characteristic() == 0
-        if inv.unit_rank > 0:
-            assert report.determinant_factor == inv.R
-        else:
-            assert report.determinant_factor == 1.0
-
-
 def test_pn_of_table_n0_matches_numberring():
     for d in FUNDAMENTAL:
         inv = quad_invariants(d)
         table = pn_of_table(inv, 0)
-        plain = numberring_table(inv)
+        plain = plain_table(inv)
         assert table.degrees() == plain.degrees()
         for i in table.degrees():
             assert table[i] == plain[i]
