@@ -17,6 +17,7 @@ from weilzeta import (
     zeta_curve,
 )
 from weilzeta.ff_zeta import expected_counts
+from weilzeta.reports import ff_report
 
 # An elliptic curve over F_5.  Counting points over F_5 and F_25 by
 # brute force is instant; the interesting part is that N_1 alone pins
@@ -37,25 +38,27 @@ print("ord at s=0:", ord_, " zeta*(0) =", c, "* ln(5)^", ord_)
 print("|c| (q-1) =", abs(c) * 4, " (must equal P(1))")
 
 # A genus 2 curve.  Here two counts are needed and the functional
-# equation fills in the top half of P.  verify_ff bundles all checks.
+# equation fills in the top half of P.  verify_ff runs the checks of the
+# zeta side; ff_report compares that side with the prediction rho = -1,
+# |c| = P(1)/(q-1), and names any failed check in its caveats.
 
 quintic = CurveSpec(7, (1, 2, 0, 0, 0, 1))  # y^2 = x^5 + 2x + 1
-result = verify_ff(quintic)
-print("\ncurve:", result.variety)
-for name, ok in result.checks:
+zeta, checks = verify_ff(quintic)
+print("\ncurve:", quintic)
+for name, ok in checks:
     print(f"  {'ok ' if ok else 'BAD'} {name}")
-print("verified:", result.ok)
+report = ff_report(quintic)
+print("verdict:", report.verdict, " caveats:", report.caveats)
 
 # The same machinery scales over a panel of curves; every check is an
 # exact integer identity, so there is nothing to tune.
 
-print("\n  p  f (ascending coeffs)      genus  P(1)  ok")
+print("\n  p  f (ascending coeffs)      genus  P(1)  verdict")
 for p in (3, 5, 7, 11):
     for f in ((2, 1, 0, 1), (1, 0, 1, 0, 0, 1)):
         try:
             c = CurveSpec(p, f)
         except ValueError:
             continue
-        r = verify_ff(c)
         print(f"{p:>3}  {str(c.f):<24} {c.genus:>4} "
-              f"{curve_class_number(r.zeta):>6}  {r.ok}")
+              f"{curve_class_number(zeta_curve(c)):>6}  {ff_report(c).verdict}")

@@ -15,11 +15,11 @@ from weilzeta import (
     rank_weighted_euler,
     special_value_s0,
     torsion_euler,
-    verify_ff,
     zeta_pn,
 )
 from weilzeta.motivic_rank import pn_of_order, soule_rank
 from weilzeta.number_field import RATIONALS
+from weilzeta.reports import ff_report
 
 # P^2 over F_4.  The Weil-etale table has Z in degrees 0 and 1 and
 # finite groups of orders q-1, q^2-1 in odd degrees; its two Euler
@@ -37,7 +37,7 @@ ord_, c = special_value_s0(zeta_pn(q, n))
 print("zeta side:      ord", ord_, " |c| =", abs(c))
 print("cohomology side: ord", rank_weighted_euler(table),
       " |c| =", torsion_euler(table))
-print("verified:", verify_ff(ProjectiveSpace(q, n)).ok)
+print("verdict:", ff_report(ProjectiveSpace(q, n)).verdict)  # compares the two
 
 # Over a number ring the ranks come from Borel's theorem on
 # K_{2r-1}(O_F) and the orders from the functional equation of the

@@ -107,11 +107,13 @@ def check_curves():
     bad = []
     for c in panel:
         per_prime[c.p] = per_prime.get(c.p, 0) + 1
-        v = ff_zeta.verify_ff(c, count_bound=2**16)
-        if not v.ok:
-            bad.append((c.p, c.f, [n for n, ok in v.checks if not ok]))
+        report = ff_report(c)
+        if report.verdict != PASS:
+            bad.append((c.p, c.f, [x for x in report.caveats if x.startswith("failed: ")]))
     elapsed = time.perf_counter() - start
-    enough = all(per_prime.get(p, 0) >= 10 for p in (3, 5, 7, 11, 13))
+    # the count reproduction of the criterion reaches p^m <= 2^16
+    enough = ff_zeta.COUNT_BOUND >= 2**16 and all(
+        per_prime.get(p, 0) >= 10 for p in (3, 5, 7, 11, 13))
     return (
         not bad and enough and elapsed < 30.0,
         f"{len(panel)} curves over 5 primes in {elapsed:.1f}s, failures: {bad or 'none'}",

@@ -44,6 +44,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError (exit 1, one line) where argparse would print a
+    usage block and exit 2, which is the FAIL code here."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # polynomial syntax: integer coefficients, caret powers, e.g. "x^3-2x+1"
 
@@ -102,7 +110,7 @@ def _resolve_invariants(args) -> NumberFieldInvariants:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weilzeta",
         description="Verify zeta special values at s=0 against cohomological predictions.",
     )
@@ -145,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if not getattr(args, "tol", 0.0) >= 0:  # also rejects NaN
             raise UsageError(f"--tol must be >= 0, got {args.tol}")
         if args.command == "numberring":

@@ -23,10 +23,8 @@ from math import comb
 
 import numpy as np
 
-from .fgab import rank_weighted_euler, torsion_euler
-from .weil_tables import pn_fq_table
-
 SIZE_BOUND = 2**20
+COUNT_BOUND = 2**16  # verify_ff reproduces every N_m with q^m <= this
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -306,10 +304,6 @@ class CurveSpec:
         return (len(self.f) - 2) // 2
 
     @property
-    def kind(self) -> str:
-        return "elliptic" if self.genus == 1 else "hyperelliptic"
-
-    @property
     def q(self) -> int:
         return self.p
 
@@ -495,65 +489,25 @@ def hasse_bound_holds(curve: CurveSpec, n1: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# verification against the cohomological side
+# the zeta side of a curve, checked exactly
 
-@dataclass(frozen=True)
-class FFVerification:
-    variety: object
-    zeta: ZetaRational
-    ord: int  # zeta^*(0) = lead * (ln q)^ord
-    lead: Fraction
-    ord_predicted: int
-    torsion_predicted: Fraction
-    checks: tuple  # ((name, ok), ...)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
-def verify_ff(variety, count_bound: int = 2**16) -> FFVerification:
-    """Exact special-value verification over a finite field.
-
-    Projective spaces are checked against the Euler characteristics of
-    the Weil-etale table; curves against rho = -1 and
-    |c| (q-1) = P(1), with P(1) compared with N_1 (genus 1) and the
-    counts N_m reproduced from Z(t) for q^m <= count_bound.  Each N_m is
-    counted once.
-    Signs are not compared (the determinant is defined up to sign).
-    """
-    if isinstance(variety, ProjectiveSpace):
-        zeta = zeta_pn(variety.q, variety.n)
-        rho, lead = special_value_s0(zeta)
-        table = pn_fq_table(variety.q, variety.n)
-        rho_pred = rank_weighted_euler(table)
-        tors_pred = torsion_euler(table)
-        checks = (
-            ("vanishing order equals rank Euler characteristic", rho == rho_pred),
-            ("|mantissa| equals torsion Euler characteristic", abs(lead) == tors_pred),
-        )
-        return FFVerification(variety, zeta, rho, lead, rho_pred, tors_pred, checks)
-
-    if isinstance(variety, CurveSpec):
-        q, g = variety.p, variety.genus
-        max_m = 1
-        while q ** (max_m + 1) <= count_bound:
-            max_m += 1
-        # each N_m is counted once: N_1..N_g build Z(t), and the rest
-        # up to max_m are checked against it
-        counts = [count_points(variety, m) for m in range(1, max(g, max_m) + 1)]
-        zeta = zeta_curve(variety, counts[:g])
-        rho, lead = special_value_s0(zeta)
-        p1 = curve_class_number(zeta)
-        n1 = counts[0]
-        checks = (
-            ("functional equation", functional_equation_holds(zeta, g)),
-            ("Hasse bound", hasse_bound_holds(variety, n1)),
-            ("counts reproduced from Z(t)", expected_counts(zeta, max_m) == counts[:max_m]),
-            ("vanishing order is -1", rho == -1),
-            ("|mantissa| (q-1) = P(1)", abs(lead) * (q - 1) == p1),
-            ("P(1) recount", g != 1 or p1 == n1),
-        )
-        return FFVerification(variety, zeta, rho, lead, -1, Fraction(p1, q - 1), checks)
-
-    raise TypeError(f"unsupported variety {variety!r}")
+def verify_ff(curve: CurveSpec):
+    """(Z(t), checks) for a curve, where checks are ((name, ok), ...)
+    on the zeta side alone: the functional equation, the Hasse bound,
+    the counts N_m reproduced from Z(t) for q^m <= COUNT_BOUND, and P(1)
+    against N_1 (genus 1).  Each N_m is counted once: N_1..N_g build
+    Z(t), and the rest are checked against it."""
+    q, g = curve.p, curve.genus
+    max_m = 1
+    while q ** (max_m + 1) <= COUNT_BOUND:
+        max_m += 1
+    counts = [count_points(curve, m) for m in range(1, max(g, max_m) + 1)]
+    zeta = zeta_curve(curve, counts[:g])
+    n1 = counts[0]
+    checks = (
+        ("functional equation", functional_equation_holds(zeta, g)),
+        ("Hasse bound", hasse_bound_holds(curve, n1)),
+        ("counts reproduced from Z(t)", expected_counts(zeta, max_m) == counts[:max_m]),
+        ("P(1) recount", g != 1 or curve_class_number(zeta) == n1),
+    )
+    return zeta, checks

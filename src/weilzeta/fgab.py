@@ -203,19 +203,6 @@ class FgAb:
         # an entry with unknown torsion is not known to be zero
         return self.rank == 0 and self.torsion_order == 1 and self.torsion_known
 
-    def __str__(self):
-        parts = []
-        if self.rank:
-            parts.append(f"Z^{self.rank}" if self.rank > 1 else "Z")
-        if self.torsion_order > 1:
-            if self.factors:
-                parts.extend(f"Z/{f}" for f in self.factors)
-            else:
-                parts.append(f"(order {self.torsion_order})")
-        if not self.torsion_known:
-            parts.append("(torsion unknown)")
-        return " + ".join(parts) if parts else "0"
-
 
 ZERO = FgAb(0, 1)
 Z = FgAb(1, 1)

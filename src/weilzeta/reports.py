@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ff_zeta, weil_tables
-from .fgab import rank_weighted_euler
+from .fgab import rank_weighted_euler, torsion_euler
 from .lfunc import AnalyticSideUnavailable, dedekind_leading_at_0
 from .motivic_rank import pn_of_order, soule_rank
 from .number_field import NumberFieldInvariants
@@ -74,14 +75,40 @@ class SymbolicValue:
 
     @classmethod
     def from_json(cls, obj) -> "SymbolicValue":
+        """Inverse of to_json; ValueError unless the mantissa is a nonzero
+        rational string, each log base a prime with an int exponent, the
+        real factor finite and nonzero, and the value a finite float."""
         try:
-            return cls(
-                Fraction(obj["mantissa"]),
-                {int(p): e for p, e in obj["log_exponents"].items()},
-                obj["real_factor"],
-            )
+            mantissa, exps, real = obj["mantissa"], obj["log_exponents"], obj["real_factor"]
+            _require(isinstance(mantissa, str) and re.fullmatch(r"-?\d+(/\d+)?", mantissa)
+                     and Fraction(mantissa) != 0,
+                     "special value mantissa must be a nonzero rational string")
+            exps = {int(p): e for p, e in exps.items()}
+            _require(all(_is_int(e) and ff_zeta.is_prime(p) for p, e in exps.items()),
+                     "special value log_exponents must map primes to integers")
+            _require((_is_int(real) or isinstance(real, float)) and math.isfinite(real) and real != 0,
+                     "special value real_factor must be a finite nonzero number")
+            value = cls(Fraction(mantissa), exps, float(real))
+            value.numeric()  # raises OverflowError if a factor overflows
         except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
             raise ValueError(f"malformed special value: {exc!r}") from None
+        return value
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _is_group(g) -> bool:
+    """A weil_table entry as serialize_table writes it."""
+    return (isinstance(g, dict) and _is_int(g.get("rank"))
+            and isinstance(g.get("torsion_order"), str)
+            and isinstance(g.get("torsion_known"), bool))
 
 
 def serialize_table(table) -> dict:
@@ -171,15 +198,25 @@ def emit_report(report: VerificationReport, as_json: bool = False) -> str:
 
 def parse_report(text: str) -> VerificationReport:
     """Inverse of emit_report(..., as_json=True); ValueError on any JSON
-    that is not such a report."""
+    that is not such a report, so that every report it returns can be
+    emitted and opened."""
     obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("report is not a JSON object")
+    _require(isinstance(obj, dict), "report is not a JSON object")
     missing = [k for k in _KEY_ORDER if k not in obj]
-    if missing:
-        raise ValueError(f"report lacks key(s): {', '.join(missing)}")
-    if not isinstance(obj["verdict"], str) or obj["verdict"] not in EXIT_CODES:
-        raise ValueError(f"unknown verdict {obj['verdict']!r}")
+    _require(not missing, f"report lacks key(s): {', '.join(missing)}")
+    _require(isinstance(obj["verdict"], str) and obj["verdict"] in EXIT_CODES,
+             f"unknown verdict {obj['verdict']!r}")
+    _require(isinstance(obj["object"], str), "report object must be a string")
+    for key in ("invariants", "tolerances"):
+        _require(isinstance(obj[key], dict), f"report {key} must be a JSON object")
+    for key in ("rank_predicted", "ord_computed"):
+        _require(obj[key] is None or _is_int(obj[key]), f"report {key} must be an integer or null")
+    caveats, table = obj["caveats"], obj["weil_table"]
+    _require(isinstance(caveats, list) and all(isinstance(c, str) for c in caveats),
+             "report caveats must be a list of strings")
+    entries = table.get("entries") if isinstance(table, dict) else None
+    _require(table is None or isinstance(entries, dict) and all(map(_is_group, entries.values())),
+             "report weil_table entries must be {rank, torsion_order, torsion_known} objects")
     for key in ("special_value_predicted", "special_value_computed"):
         if obj.get(key) is not None:
             obj[key] = SymbolicValue.from_json(obj[key])
@@ -223,10 +260,14 @@ def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
             caveats=[str(exc)],
         )
     computed = SymbolicValue(Fraction(1), {}, value)
-    value_ok = abs(computed.numeric() - predicted.numeric()) <= tol * max(
-        1.0, abs(predicted.numeric())
-    )
-    verdict = PASS if (ord_ == rank and value_ok) else FAIL
+    delta = abs(computed.numeric() - predicted.numeric())
+    bound = tol * max(1.0, abs(predicted.numeric()))
+    failed = []
+    if ord_ != rank:
+        failed.append(f"failed: ord computed {ord_} != rank predicted {rank}")
+    if not delta <= bound:
+        failed.append(f"failed: |computed - predicted| = {delta!r} > "
+                      f"tol * max(1, |predicted|) = {bound!r}")
     return VerificationReport(
         object=name,
         invariants=_invariants_dict(inv),
@@ -235,9 +276,9 @@ def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
         ord_computed=ord_,
         special_value_predicted=predicted,
         special_value_computed=computed,
-        verdict=verdict,
+        verdict=FAIL if failed else PASS,
         tolerances={"value": tol},
-        caveats=[],
+        caveats=failed,
     )
 
 
@@ -277,35 +318,43 @@ def ff_value(c: Fraction, e: int, q: int) -> SymbolicValue:
     return SymbolicValue(c * Fraction(k) ** e, {p: e} if e else {}, 1.0)
 
 
-def ff_report(variety, count_bound: int = 2**16) -> VerificationReport:
-    """Exact finite-field verification (both sides rational)."""
-    v = ff_zeta.verify_ff(variety, count_bound=count_bound)
+def ff_report(variety) -> VerificationReport:
+    """Exact finite-field verification: the zeta side from Z(t) against
+    rho and |c| predicted by the Weil-etale table (P^n) or by rho = -1 and
+    P(1)/(q-1) (curves).  Signs are compared up to +-1: the determinant
+    is defined up to sign."""
     if isinstance(variety, ff_zeta.ProjectiveSpace):
-        name = f"P^{variety.n} over F_{variety.q}"
-        table = weil_tables.pn_fq_table(variety.q, variety.n)
+        q, n = variety.q, variety.n
+        name = f"P^{n} over F_{q}"
+        invariants = {"q": q, "n": n}
+        table = weil_tables.pn_fq_table(q, n)
         table_json = serialize_table(table)
-        invariants = {"q": variety.q, "n": variety.n}
+        zeta, checks = ff_zeta.zeta_pn(q, n), ()
+        rank, torsion = rank_weighted_euler(table), torsion_euler(table)
+        names = ("vanishing order equals rank Euler characteristic",
+                 "|mantissa| equals torsion Euler characteristic")
     else:
-        fstr = poly_to_str(variety.f)
-        name = f"curve y^2 = {fstr} over F_{variety.p} (genus {variety.genus})"
-        table_json = None  # no Weil table for curves; zeta side only
-        invariants = {"p": variety.p, "f": fstr, "genus": variety.genus}
-    sign = 1 if v.ord_predicted % 2 == 0 else -1
-    predicted = ff_value(sign * v.torsion_predicted, v.ord_predicted, variety.q)
-    computed = ff_value(v.lead, v.ord, variety.q)
-    caveats = [f"failed: {nm}" for nm, ok in v.checks if not ok]
-    caveats.append("sign compared up to +-1")
+        q, fstr = variety.p, poly_to_str(variety.f)
+        name = f"curve y^2 = {fstr} over F_{q} (genus {variety.genus})"
+        invariants = {"p": q, "f": fstr, "genus": variety.genus}
+        table_json = None  # no Weil table for curves: rho and P(1) predict
+        zeta, checks = ff_zeta.verify_ff(variety)
+        rank, torsion = -1, Fraction(ff_zeta.curve_class_number(zeta), q - 1)
+        names = ("vanishing order is -1", "|mantissa| (q-1) = P(1)")
+    ord_, lead = ff_zeta.special_value_s0(zeta)
+    checks = (*checks, (names[0], ord_ == rank), (names[1], abs(lead) == torsion))
+    failed = [f"failed: {nm}" for nm, ok in checks if not ok]
     return VerificationReport(
         object=name,
         invariants=invariants,
         weil_table=table_json,
-        rank_predicted=v.ord_predicted,
-        ord_computed=v.ord,
-        special_value_predicted=predicted,
-        special_value_computed=computed,
-        verdict=PASS if v.ok else FAIL,
+        rank_predicted=rank,
+        ord_computed=ord_,
+        special_value_predicted=ff_value(-torsion if rank % 2 else torsion, rank, q),
+        special_value_computed=ff_value(lead, ord_, q),
+        verdict=FAIL if failed else PASS,
         tolerances={"value": 0},
-        caveats=caveats,
+        caveats=[*failed, "sign compared up to +-1"],
     )
 
 

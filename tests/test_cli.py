@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -24,12 +26,12 @@ from weilzeta.reports import (
 
 
 def cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "weilzeta.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    """(exit code, stdout, stderr) of the command line, run in process;
+    a few tests below start `python -m weilzeta.cli` itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +241,80 @@ def test_run_in_process():
     assert run(["numberring", "--disc", "7"]) == 1
 
 
+def _with_value(report, **fields):
+    return {**report, "special_value_computed": {**report["special_value_computed"], **fields}}
+
+
 @pytest.mark.parametrize(
     "doctor,message",
     [
         (lambda report: [1, 2], "not a JSON object"),
         (lambda report: {"object": "x"}, "lacks key(s): invariants"),
         (lambda report: {**report, "verdict": "MAYBE"}, "unknown verdict 'MAYBE'"),
+        (lambda report: {**report, "rank_predicted": "1"}, "rank_predicted must be an integer"),
+        (lambda report: {**report, "rank_predicted": True}, "rank_predicted must be an integer"),
+        (lambda report: {**report, "weil_table": {"entries": 3}}, "weil_table entries must be"),
+        (lambda report: {**report, "invariants": [1, 2]}, "invariants must be a JSON object"),
+        (lambda report: {**report, "caveats": "abc"}, "caveats must be a list of strings"),
+        (lambda report: _with_value(report, real_factor="x"), "real_factor must be"),
+        (lambda report: _with_value(report, log_exponents={"3": "-1"}), "log_exponents must map"),
+        (lambda report: _with_value(report, log_exponents={"-3": -1}), "log_exponents must map"),
+        (lambda report: _with_value(report, mantissa="0"), "mantissa must be a nonzero"),
     ],
-    ids=["not-object", "missing-key", "unknown-verdict"],
+    ids=["not-object", "missing-key", "unknown-verdict", "string-rank", "bool-rank",
+         "number-entries", "list-invariants", "string-caveats", "string-real-factor",
+         "string-exponent", "negative-log-base", "zero-mantissa"],
 )
 def test_cli_open_malformed_report(tmp_path, capsys, doctor, message):
     report = json.loads(emit_report(ff_report(ProjectiveSpace(3, 0)), as_json=True))
-    path = tmp_path / "report.json"
+    good, path = tmp_path / "good.json", tmp_path / "report.json"
+    good.write_text(json.dumps(report))
     path.write_text(json.dumps(doctor(report)))
-    assert run(["open", str(path)]) == 1
+    # alone, the base is emitted as it is; as a fiber, it is combined
+    for argv in (["open", str(path)], ["open", str(good), str(path)]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["pn-of", "--disc", "5"], "weilzeta pn-of: the following arguments are required: --n"),
+        (["ff", "pn", "--q", "x", "--n", "1"], "weilzeta ff pn: argument --q: invalid int value: 'x'"),
+        ([], "weilzeta: the following arguments are required: command"),
+        (["frobenius"], "weilzeta: argument command: invalid choice: 'frobenius'"),
+    ],
+    ids=["missing-flag", "bad-int", "no-verb", "unknown-verb"],
+)
+def test_cli_argparse_errors_are_usage_errors(capsys, argv, message):
+    assert run(argv) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and message in err
+    assert out == "" and err.startswith(f"error: {message}")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_help_exits_zero():
+    # subprocess: --help exits through SystemExit(0)
+    proc = subprocess.run([sys.executable, "-m", "weilzeta.cli", "ff", "curve", "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: weilzeta ff curve")
+
+
+def test_cli_numberring_fail_states_why(tmp_path):
+    # h = 2 for disc -23 predicts -1, the L-values give -3/2
+    path = tmp_path / "inv.txt"
+    path.write_text("r1=0\nr2=1\nh=2\nR=1\nw=2\ndisc=-23\n")
+    assert run(["numberring", "--invariants", str(path)]) == 2
+    report = numberring_report(NumberFieldInvariants(0, 1, 2, 1.0, 2, disc=-23))
+    assert report.verdict == FAIL
+    assert report.caveats == ["failed: |computed - predicted| = 0.5 > tol * max(1, |predicted|) = 1e-08"]
+    # invariants of an imaginary field for the real disc 5: the orders differ too
+    report = numberring_report(NumberFieldInvariants(0, 1, 1, 1.0, 2, disc=5))
+    assert report.verdict == FAIL
+    assert report.caveats[0] == "failed: ord computed 1 != rank predicted 0"
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan"])
@@ -281,3 +340,79 @@ def test_acceptance_does_not_import_cli():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_zeta_modules_import_no_comparison_layer():
+    # the analytic modules compute one side only: the Weil-etale tables,
+    # the group algebra, the rank side, the reports and the CLI stay unloaded
+    code = "import sys, importlib; importlib.import_module(sys.argv[1]); print(*sys.modules)"
+    forbidden = {f"weilzeta.{m}" for m in ("weil_tables", "fgab", "motivic_rank", "reports", "cli")}
+    for module in ("weilzeta.ff_zeta", "weilzeta.lfunc"):
+        proc = subprocess.run([sys.executable, "-c", code, module],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert module in loaded and not loaded & forbidden, loaded & forbidden
+
+
+def test_cli_fuzz_verbs_and_flags(tmp_path, capsys):
+    # every argv over the verb and flag grammar ends in a verdict or in one
+    # error line; sizes stay small (|disc|, q, p <= 10^3, n <= 20), and
+    # `suite` is left out because it always runs the whole battery
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    paths = {name: tmp_path / name for name in ("report.json", "inv.txt", "k.txt", "junk.txt")}
+    paths["report.json"].write_text(emit_report(ff_report(ProjectiveSpace(3, 0)), as_json=True))
+    paths["inv.txt"].write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\ndisc=-23\n")
+    paths["k.txt"].write_text("K2=24\nK3=2\n")
+    paths["junk.txt"].write_text("r1=x\nK2: 1\n{\n")
+    files = st.sampled_from([*map(str, paths.values()), str(tmp_path / "missing")])
+    small = st.integers(-1000, 1000)
+    often = lambda choices: st.sampled_from(choices) | st.sampled_from(choices) | small
+    values = {
+        "--disc": often([1, -3, -4, -23, 5, 12, 13]),
+        "--q": often([2, 4, 9, 25, 27, 997]),
+        "--p": often([3, 5, 7, 11, 101, 997]),
+        "--n": st.integers(-3, 20),
+        "--f": st.sampled_from(["x^3+x+1", "x^5+3x+1", "x^7+x^2+5", "x^3", "x^4+1", "y"])
+        | st.text(max_size=6),
+        "--tol": st.sampled_from(["1e-8", "0", "-1", "nan", "inf", "x"]),
+        "--invariants": files, "--k-torsion": files,
+    }
+    values = {flag: v.map(str) for flag, v in values.items()}
+    grammar = {  # verb: (its required flags, its optional flags)
+        ("numberring",): (("--disc",), ("--invariants", "--tol")),
+        ("pn-of",): (("--disc", "--n"), ("--invariants", "--k-torsion", "--tol")),
+        ("ff", "pn"): (("--q", "--n"), ()),
+        ("ff", "curve"): (("--p", "--f"), ()),
+        ("open",): ((), ()),
+        ("ff",): ((), ()), ("frob",): ((), ()), (): ((), ()),
+    }
+    any_flag = st.sampled_from(sorted(values)).flatmap(
+        lambda flag: st.tuples(st.just(flag), values[flag]))
+    # one time in four: a flag of any verb, or report files after any verb
+    rarely = lambda strategy: st.integers(0, 3).flatmap(lambda k: strategy if k == 0 else st.just([]))
+
+    def argvs_for(verb):
+        required, optional = grammar[verb]
+        flags = st.fixed_dictionaries({f: values[f] for f in required},
+                                      optional={f: values[f] for f in optional})
+        positional = st.lists(files, min_size=1, max_size=2)
+        return st.builds(
+            lambda flags, extra, positional, as_json: [
+                *verb, *(a for pair in [*flags.items(), *extra] for a in pair), *positional, *as_json],
+            flags, rarely(st.lists(any_flag, min_size=1, max_size=1)),
+            positional if verb == ("open",) else rarely(positional),
+            st.sampled_from([[], ["--json"]]))
+
+    argvs = st.sampled_from(sorted(grammar)).flatmap(argvs_for)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(argvs)
+    def check(argv):
+        code = run(argv)
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        assert len(err.splitlines()) <= 1, (argv, err)
+
+    check()

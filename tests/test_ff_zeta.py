@@ -6,7 +6,9 @@ from math import gcd
 
 import pytest
 
+from weilzeta import ff_zeta
 from weilzeta.ff_zeta import (
+    COUNT_BOUND,
     CurveSpec,
     ProjectiveSpace,
     SingularCurveError,
@@ -277,9 +279,9 @@ def test_count_points_size_bound():
 
 def test_curve_spec_properties():
     c = CurveSpec(5, (0, -1, 0, 1))
-    assert c.genus == 1 and c.kind == "elliptic" and c.q == 5
+    assert c.genus == 1 and c.q == 5
     c = CurveSpec(5, (1, 1, 0, 0, 0, 1))
-    assert c.genus == 2 and c.kind == "hyperelliptic"
+    assert c.genus == 2
 
 
 def test_curve_spec_rejects_singular():
@@ -364,13 +366,6 @@ def test_special_value_elliptic():
     assert abs(lead) * 4 == 8
 
 
-def test_verify_ff_projective_spaces():
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        for n in range(0, 4):
-            v = verify_ff(ProjectiveSpace(q, n))
-            assert v.ok, v.checks
-
-
 def test_verify_ff_curves():
     for c in (
         CurveSpec(3, (0, 1, 0, 1)),
@@ -379,15 +374,30 @@ def test_verify_ff_curves():
         CurveSpec(3, (1, 0, 1, 0, 0, 1)),
         CurveSpec(11, (1, 2, 0, 0, 0, 1)),
     ):
-        v = verify_ff(c)
-        assert v.ok, v.checks
-        assert v.ord == -1
+        zeta, checks = verify_ff(c)
+        assert [name for name, _ in checks] == [
+            "functional equation", "Hasse bound", "counts reproduced from Z(t)", "P(1) recount"]
+        assert all(ok for _, ok in checks), checks
+        assert special_value_s0(zeta)[0] == -1
 
 
 def test_verify_ff_deterministic():
-    a = verify_ff(CurveSpec(5, (0, -1, 0, 1)))
-    b = verify_ff(CurveSpec(5, (0, -1, 0, 1)))
-    assert a.zeta == b.zeta and (a.ord, a.lead) == (b.ord, b.lead)
+    assert verify_ff(CurveSpec(5, (0, -1, 0, 1))) == verify_ff(CurveSpec(5, (0, -1, 0, 1)))
+
+
+def test_verify_ff_counts_each_m_once(monkeypatch):
+    calls = []
+
+    def counting(variety, m=1):
+        calls.append(m)
+        return count_points(variety, m)
+
+    monkeypatch.setattr(ff_zeta, "count_points", counting)
+    verify_ff(CurveSpec(3, (0, 1, 0, 1)))  # 3^10 <= 2^16 < 3^11
+    assert COUNT_BOUND == 2**16 and calls == list(range(1, 11))
+    calls.clear()
+    verify_ff(CurveSpec(47, (1, 0, 0, 0, 0, 0, 0, 1)))  # genus 3, 47^2 <= 2^16 < 47^3
+    assert calls == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ from weilzeta.reports import (
     ff_report,
     ff_value,
     numberring_report,
+    open_report,
     parse_report,
     pn_of_report,
 )
+from weilzeta import ff_zeta
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.lfunc import dedekind_leading_at_0
 from weilzeta.number_field import quad_invariants
@@ -57,6 +59,35 @@ def test_numberring_value_is_a_real_factor():
     inv = quad_invariants(5)
     v = numberring_report(inv).special_value_computed
     assert v == SymbolicValue(Fraction(1), {}, dedekind_leading_at_0(inv)[1])
+
+
+def test_ff_report_projective_spaces():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(0, 4):
+            report = ff_report(ProjectiveSpace(q, n))
+            assert report.verdict == PASS, report.caveats
+            assert report.caveats == ["sign compared up to +-1"]
+            assert report.rank_predicted == report.ord_computed == -1
+
+
+def test_ff_report_fail_names_the_comparisons(monkeypatch):
+    # a zeta side that disagrees with both predictions fails both
+    # comparison checks, under the names the caveats have always used
+    monkeypatch.setattr(ff_zeta, "special_value_s0", lambda zeta: (0, Fraction(7)))
+    report = ff_report(ProjectiveSpace(3, 1))
+    assert report.verdict == FAIL
+    assert report.caveats == [
+        "failed: vanishing order equals rank Euler characteristic",
+        "failed: |mantissa| equals torsion Euler characteristic",
+        "sign compared up to +-1",
+    ]
+    report = ff_report(CurveSpec(5, (0, -1, 0, 1)))
+    assert report.verdict == FAIL
+    assert report.caveats == [
+        "failed: vanishing order is -1",
+        "failed: |mantissa| (q-1) = P(1)",
+        "sign compared up to +-1",
+    ]
 
 
 def test_symbolic_json_roundtrip():
@@ -120,18 +151,48 @@ def test_parse_report_arbitrary_json_is_report_or_value_error():
         | st.dictionaries(st.text(max_size=8), inner, max_size=3),
         max_leaves=4,
     )
-    # most arbitrary JSON misses a key; the second strategy has them all,
-    # with a valid verdict and value-shaped special values at times, so
-    # that the special values get parsed too
-    value_shaped = st.fixed_dictionaries(
-        {"mantissa": scalars, "log_exponents": values, "real_factor": scalars})
-    fields = {k: scalars for k in _KEYS}
-    fields["verdict"] = st.sampled_from(sorted(EXIT_CODES)) | scalars
-    for key in ("special_value_predicted", "special_value_computed"):
-        fields[key] = values | value_shaped
-    reports = values | st.fixed_dictionaries(fields)
+    # most arbitrary JSON misses a key, so three draws in four are reports
+    # of the right shape (zero values included) with arbitrary JSON or a
+    # near miss (a log base that is not prime, an overflowing real factor)
+    # in one field of the report half the time, and in one field of each
+    # special value and weil_table entry a quarter of the time
+    near = st.sampled_from([
+        "0", "1/0", "1e400", "x", 0, 0.0, 1.5, -1, True, 10**400, math.inf, math.nan,
+        {"-3": -1}, {"1": 1}, {"4": 2}, {"3": "-1"}, {"3": True}, {"3": 10**6}, {"entries": 3},
+    ])
+    junk = values | near
 
-    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    def one_off(fields, clean=1):
+        keys = tuple(fields)
+        return st.builds(lambda obj, key, bad: {**obj, key: bad} if key else obj,
+                         st.fixed_dictionaries(fields),
+                         st.sampled_from((None,) * (clean * len(keys)) + keys), junk)
+
+    ints = st.integers(-3000, 3000)
+    value = one_off({
+        "mantissa": st.sampled_from(["0", "-1/2"]) | st.fractions().map(str),
+        "log_exponents": st.dictionaries(st.sampled_from(["2", "3", "5", "47"]), ints, max_size=2),
+        "real_factor": st.floats(allow_nan=False, allow_infinity=False),
+    }, clean=3)
+    group = one_off({"rank": ints, "torsion_order": st.text(max_size=4),
+                     "torsion_known": st.booleans()}, clean=3)
+    mapping = st.dictionaries(st.text(max_size=4), scalars, max_size=3)
+    shaped = one_off({
+        "object": st.text(max_size=8),
+        "invariants": mapping,
+        "weil_table": st.none() | st.fixed_dictionaries(
+            {"entries": st.dictionaries(st.text(max_size=2), group, max_size=2)}),
+        "rank_predicted": st.none() | ints,
+        "ord_computed": st.none() | ints,
+        "special_value_predicted": st.none() | value,
+        "special_value_computed": st.none() | value,
+        "verdict": st.sampled_from(sorted(EXIT_CODES)),
+        "tolerances": mapping,
+        "caveats": st.lists(st.text(max_size=8), max_size=3),
+    })
+    reports = st.integers(0, 3).flatmap(lambda k: shaped if k else values)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @hypothesis.given(reports)
     def check(obj):
         try:
@@ -140,5 +201,9 @@ def test_parse_report_arbitrary_json_is_report_or_value_error():
             return
         assert isinstance(report, VerificationReport)
         assert report.verdict in EXIT_CODES
+        # every report that parses can be shown and opened
+        for shown in (report, open_report(report, [report])):
+            emit_report(shown)
+            emit_report(shown, as_json=True)
 
     check()
