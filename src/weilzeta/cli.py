@@ -16,6 +16,7 @@ Exit codes: 0 pass (incl. rank-only), 1 usage error, 2 mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -109,6 +110,7 @@ def _resolve_invariants(args) -> NumberFieldInvariants:
     return quad_invariants(d)
 
 
+@functools.cache  # parse_args keeps no state: a fresh Namespace per call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="weilzeta",
@@ -143,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     op = sub.add_parser("open", help="combine base and closed-fiber JSON reports")
     op.add_argument("base", help="base report (JSON file)")
-    op.add_argument("fibers", nargs="*", help="closed-fiber reports (JSON files)")
+    # default=[] keeps the optional fibers out of "the following arguments are required"
+    op.add_argument("fibers", nargs="*", default=[], help="closed-fiber reports (JSON files)")
     op.add_argument("--json", action="store_true")
 
     st = sub.add_parser("suite", help="run the acceptance battery")

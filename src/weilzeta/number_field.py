@@ -4,8 +4,10 @@ Quadratic fields are computed from first principles: class numbers by
 enumerating reduced binary quadratic forms (imaginary case) or cycles of
 reduced indefinite forms (real case), the fundamental unit by the
 continued-fraction expansion of the standard generator of the maximal
-order.  Higher-degree fields enter only through user-supplied invariant
-files; nothing here does ideal arithmetic.
+order.  Both enumerations visit only the (a, b) that the reduction
+bounds allow, so either class number costs O(|D|) steps.  Higher-degree
+fields enter only through user-supplied invariant files; nothing here
+does ideal arithmetic.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ class NumberFieldInvariants:
             raise InvariantsError("root-of-unity count must be >= 1")
         if not (self.R > 0 and math.isfinite(self.R)):
             raise InvariantsError("regulator must be a positive finite real")
+        degree = self.r1 + 2 * self.r2
+        if degree == 1 and self.disc not in (0, 1):
+            raise InvariantsError(f"degree 1 needs disc 1, got disc {self.disc}")
+        if degree == 2 and (self.disc > 1 and self.r1 != 2 or self.disc < 0 and self.r2 != 1):
+            raise InvariantsError(
+                f"signature (r1, r2) = ({self.r1}, {self.r2}) does not match disc {self.disc}"
+            )
 
     @property
     def unit_rank(self):
@@ -90,7 +99,8 @@ def class_number_imaginary(D: int) -> int:
     count = 0
     a = 1
     while 3 * a * a <= -D:  # reduced forms force a <= sqrt(|D|/3)
-        for b in range(-a + 1, a + 1):
+        lo = -a + 1
+        for b in range(lo + (lo - D) % 2, a + 1, 2):  # b^2 = D (mod 4) forces b = D (mod 2)
             if (b * b - D) % (4 * a):
                 continue
             c = (b * b - D) // (4 * a)
@@ -177,7 +187,8 @@ def _reduced_indefinite_forms(D: int):
         if (b * b - D) % 4:
             continue
         ac = (b * b - D) // 4  # negative
-        for a_abs in range(1, abs(ac) + 1):
+        # only 2|a| in [s - b + 1, s + b] can pass the two checks below
+        for a_abs in range(max(1, (s - b + 2) // 2), (s + b) // 2 + 1):
             if ac % a_abs:
                 continue
             # sqrt(D) - b < 2|a|  <=>  D < (2|a| + b)^2  (sqrt irrational)

@@ -45,6 +45,14 @@ class SymbolicValue:
             out *= math.log(p) ** e
         return out
 
+    def require_finite(self) -> None:
+        """ValueError unless numeric() is a finite float."""
+        try:
+            finite = math.isfinite(self.numeric())
+        except OverflowError:
+            finite = False
+        _require(finite, "special value is not a finite float")
+
     def __truediv__(self, other: "SymbolicValue") -> "SymbolicValue":
         exps = dict(self.log_exponents)
         for p, e in other.log_exponents.items():
@@ -89,7 +97,7 @@ class SymbolicValue:
             _require((_is_int(real) or isinstance(real, float)) and math.isfinite(real) and real != 0,
                      "special value real_factor must be a finite nonzero number")
             value = cls(Fraction(mantissa), exps, float(real))
-            value.numeric()  # raises OverflowError if a factor overflows
+            value.require_finite()
         except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
             raise ValueError(f"malformed special value: {exc!r}") from None
         return value
@@ -384,6 +392,7 @@ def open_report(base: VerificationReport, fibers) -> VerificationReport:
         value = base.special_value_computed
         for f in fibers:
             value = value / f.special_value_computed
+        value.require_finite()
     if verdict is None:
         verdict = PASS if (rank is not None and ord_ is not None and rank == ord_) else FAIL
     caveats = sorted({c for r in [base, *fibers] for c in r.caveats})

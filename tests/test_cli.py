@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from weilzeta.cli import UsageError, parse_k_torsion, parse_poly, run
+from weilzeta import reports
+from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import NumberFieldInvariants, quad_invariants
 from weilzeta.reports import (
@@ -190,6 +191,24 @@ def test_cli_invariants_file(tmp_path):
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("r1=1\nr2=0\nh=1\nR=1\nw=2\ndisc=5\n", "degree 1 needs disc 1, got disc 5"),
+        ("r1=2\nr2=0\nh=1\nR=1\nw=2\ndisc=-23\n", "(r1, r2) = (2, 0) does not match disc -23"),
+        ("r1=0\nr2=1\nh=1\nR=1\nw=2\ndisc=5\n", "(r1, r2) = (0, 1) does not match disc 5"),
+    ],
+    ids=["degree-1-disc-5", "real-signature-disc-minus-23", "imaginary-signature-disc-5"],
+)
+def test_cli_invariants_contradicting_disc(tmp_path, text, message):
+    path = tmp_path / "inv.txt"
+    path.write_text(text)
+    for verb in (("numberring",), ("pn-of", "--n", "1")):
+        code, out, err = cli(*verb, "--invariants", str(path))
+        assert code == 1 and out == "" and err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+
 def test_cli_unsupported_exit_code(tmp_path):
     path = tmp_path / "cubic.txt"
     path.write_text("r1=1\nr2=1\nh=1\nR=0.3\nw=2\ndisc=-23\n")
@@ -260,18 +279,27 @@ def _with_value(report, **fields):
         (lambda report: _with_value(report, log_exponents={"3": "-1"}), "log_exponents must map"),
         (lambda report: _with_value(report, log_exponents={"-3": -1}), "log_exponents must map"),
         (lambda report: _with_value(report, mantissa="0"), "mantissa must be a nonzero"),
+        # a pair: each report is fine alone, the quotient has (ln 3)^10000
+        (lambda report: (_with_value(report, log_exponents={"3": 5000}),
+                         _with_value(report, log_exponents={"3": -5000})),
+         "special value is not a finite float"),
     ],
     ids=["not-object", "missing-key", "unknown-verdict", "string-rank", "bool-rank",
          "number-entries", "list-invariants", "string-caveats", "string-real-factor",
-         "string-exponent", "negative-log-base", "zero-mantissa"],
+         "string-exponent", "negative-log-base", "zero-mantissa", "combined-overflow"],
 )
 def test_cli_open_malformed_report(tmp_path, capsys, doctor, message):
     report = json.loads(emit_report(ff_report(ProjectiveSpace(3, 0)), as_json=True))
     good, path = tmp_path / "good.json", tmp_path / "report.json"
+    doctored = doctor(report)
+    if isinstance(doctored, tuple):  # a base and a fiber: only their combination is malformed
+        report, doctored = doctored
+        argvs = [["open", str(good), str(path)]]
+    else:  # alone, the base is emitted as it is; as a fiber, it is combined
+        argvs = [["open", str(path)], ["open", str(good), str(path)]]
     good.write_text(json.dumps(report))
-    path.write_text(json.dumps(doctor(report)))
-    # alone, the base is emitted as it is; as a fiber, it is combined
-    for argv in (["open", str(path)], ["open", str(good), str(path)]):
+    path.write_text(json.dumps(doctored))
+    for argv in argvs:
         assert run(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and message in err
@@ -285,14 +313,39 @@ def test_cli_open_malformed_report(tmp_path, capsys, doctor, message):
         (["ff", "pn", "--q", "x", "--n", "1"], "weilzeta ff pn: argument --q: invalid int value: 'x'"),
         ([], "weilzeta: the following arguments are required: command"),
         (["frobenius"], "weilzeta: argument command: invalid choice: 'frobenius'"),
+        (["open"], "weilzeta open: the following arguments are required: base\n"),
     ],
-    ids=["missing-flag", "bad-int", "no-verb", "unknown-verb"],
+    ids=["missing-flag", "bad-int", "no-verb", "unknown-verb", "open-no-file"],
 )
 def test_cli_argparse_errors_are_usage_errors(capsys, argv, message):
     assert run(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {message}")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_parser_reuse_keeps_no_state():
+    # build_parser is cached, so one parser serves every call in a process;
+    # no flag, default or error may carry over from one call to the next
+    argvs = [
+        ["numberring", "--disc", "5", "--json"],
+        ["numberring", "--disc", "5"],
+        ["pn-of", "--disc", "5", "--n", "1", "--tol", "0.5"],
+        ["pn-of", "--disc", "5", "--n", "0"],
+        ["pn-of", "--disc", "5"],
+        ["ff", "pn", "--q", "3", "--n", "1"],
+    ]
+    reused = [cli(*argv) for argv in argvs]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(cli(*argv))
+    assert reused == fresh
+    assert reused[0][1].startswith("{") and reused[1][1].startswith("object:")
+    assert "tolerances:        value=1e-08\n" in reused[3][1]  # the default, not 0.5
+    assert reused[4][0] == 1 and "required: --n" in reused[4][2]
+    assert reused[5][0] == 0 and reused[5][2] == ""
 
 
 def test_cli_help_exits_zero():
@@ -303,7 +356,7 @@ def test_cli_help_exits_zero():
     assert proc.stdout.startswith("usage: weilzeta ff curve")
 
 
-def test_cli_numberring_fail_states_why(tmp_path):
+def test_cli_numberring_fail_states_why(tmp_path, monkeypatch):
     # h = 2 for disc -23 predicts -1, the L-values give -3/2
     path = tmp_path / "inv.txt"
     path.write_text("r1=0\nr2=1\nh=2\nR=1\nw=2\ndisc=-23\n")
@@ -311,8 +364,10 @@ def test_cli_numberring_fail_states_why(tmp_path):
     report = numberring_report(NumberFieldInvariants(0, 1, 2, 1.0, 2, disc=-23))
     assert report.verdict == FAIL
     assert report.caveats == ["failed: |computed - predicted| = 0.5 > tol * max(1, |predicted|) = 1e-08"]
-    # invariants of an imaginary field for the real disc 5: the orders differ too
-    report = numberring_report(NumberFieldInvariants(0, 1, 1, 1.0, 2, disc=5))
+    # an analytic order that differs from the rank is named first; invariants
+    # that contradict their own disc are refused before either side is built
+    monkeypatch.setattr(reports, "dedekind_leading_at_0", lambda inv: (1, -1.5))
+    report = numberring_report(NumberFieldInvariants(0, 1, 3, 1.0, 2, disc=-23))
     assert report.verdict == FAIL
     assert report.caveats[0] == "failed: ord computed 1 != rank predicted 0"
 

@@ -2,6 +2,9 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
+import subprocess
+import sys
+
 import pytest
 
 from weilzeta.lfunc import l_prime_at_0
@@ -9,6 +12,7 @@ from weilzeta.number_field import (
     InvariantsError,
     NumberFieldInvariants,
     RATIONALS,
+    _reduced_indefinite_forms,
     class_number_imaginary,
     class_number_real,
     fundamental_discriminant,
@@ -133,13 +137,53 @@ def test_class_number_real_known_values():
         assert class_number_real(d) == h
 
 
+def full_scan_reduced_forms(D):
+    """Reference: every |a| dividing ac, filtered by the reduction bounds."""
+    s = isqrt(D)
+    forms = []
+    for b in range(1, s + 1):
+        if (b * b - D) % 4:
+            continue
+        ac = (b * b - D) // 4
+        for a_abs in range(1, abs(ac) + 1):
+            if ac % a_abs or D >= (2 * a_abs + b) ** 2:
+                continue
+            if 2 * a_abs - b > 0 and (2 * a_abs - b) ** 2 >= D:
+                continue
+            for a in (a_abs, -a_abs):
+                c = ac // a
+                if gcd(gcd(abs(a), b), abs(c)) == 1:
+                    forms.append((a, b, c))
+    return forms
+
+
+def test_reduced_forms_window_matches_full_scan():
+    for d in fundamental_range(2, 5000):
+        assert _reduced_indefinite_forms(d) == full_scan_reduced_forms(d), d
+
+
+def test_class_numbers_at_bench_sizes():
+    for d, h in ((311160, 12), (333061, 1), (326933, 1)):
+        assert class_number_real(d) == h
+    for d, h in ((-316468, 120), (-316667, 160), (-324911, 584)):
+        assert class_number_imaginary(d) == h
+
+
+def test_cli_pn_of_ten_million():
+    proc = subprocess.run(
+        [sys.executable, "-m", "weilzeta.cli", "pn-of", "--disc", "10000013", "--n", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_unit_norm():
     # the norm of the fundamental unit decides whether class_number_real
     # halves the narrow class number; check it against L'(0) = hR
     for d, norm in ((5, -1), (12, 1), (40, -1)):
         (x, y), _ = fundamental_unit_real(d)
         assert (x * x - d * y * y) // 4 == norm
-    for d in fundamental_range(2, 400):
+    for d in fundamental_range(2, 2000):
         inv = quad_invariants(d)
         assert round(l_prime_at_0(d) / inv.R) == inv.h
 
@@ -208,4 +252,5 @@ def test_invariants_type_checks():
         NumberFieldInvariants(0, 0, 1, 1.0, 2)  # r1 + r2 < 1
     with pytest.raises(InvariantsError):
         NumberFieldInvariants(1, 0, 1, 0.0, 2)  # R must be positive
+    assert NumberFieldInvariants(0, 1, 1, 1.0, 2).disc == 0  # no disc: nothing to contradict
     assert RATIONALS.unit_rank == 0
