@@ -23,6 +23,7 @@ import sys
 from . import ff_zeta
 from .acceptance import run_suite
 from .number_field import (
+    MAX_ABS_DISC,
     InvariantsError,
     NumberFieldInvariants,
     fundamental_discriminant,
@@ -100,7 +101,8 @@ def _resolve_invariants(args) -> NumberFieldInvariants:
     if args.disc is None:
         raise UsageError("need --disc or --invariants")
     d = args.disc
-    if not is_fundamental(d):
+    # quad_invariants refuses a larger |d| before any O(sqrt |d|) trial division
+    if abs(d) <= MAX_ABS_DISC and not is_fundamental(d):
         hint = ""
         try:
             hint = f" (did you mean {fundamental_discriminant(d)}?)"
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--invariants", help="key=value invariants file")
     pn.add_argument("--n", type=int, required=True)
     pn.add_argument("--k-torsion", dest="k_torsion", help="K<m>=<order> file")
-    pn.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    pn.add_argument("--tol", type=float, help="value tolerance, for --n 0 only")
     pn.add_argument("--json", action="store_true")
 
     ff = sub.add_parser("ff", help="finite-field verification")
@@ -158,13 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not getattr(args, "tol", 0.0) >= 0:  # also rejects NaN
-            raise UsageError(f"--tol must be >= 0, got {args.tol}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not tol >= 0:  # also rejects NaN
+            raise UsageError(f"--tol must be >= 0, got {tol}")
         if args.command == "numberring":
             report = numberring_report(_resolve_invariants(args), args.tol)
         elif args.command == "pn-of":
+            if tol is not None and args.n != 0:
+                raise UsageError("--tol applies only to pn-of --n 0; n >= 1 is rank-only")
             torsion = parse_k_torsion(args.k_torsion) if args.k_torsion else None
-            report = pn_of_report(_resolve_invariants(args), args.n, torsion, args.tol)
+            report = pn_of_report(_resolve_invariants(args), args.n, torsion,
+                                  DEFAULT_TOL if tol is None else tol)
         elif args.command == "ff":
             if args.ff_kind == "pn":
                 report = ff_report(ff_zeta.ProjectiveSpace(args.q, args.n))

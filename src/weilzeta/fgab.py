@@ -1,9 +1,9 @@
 """Exact algebra of finitely generated abelian groups.
 
-Groups are recorded as (free rank, torsion order, optional invariant
-factors).  Torsion of groups assembled from short exact sequences is kept
-as an order only: the extension class is in general not determined, but
-the order is, and orders are all the downstream formulas need.
+Groups are recorded as (free rank, torsion order).  Torsion of groups
+assembled from short exact sequences is kept as an order only: the
+extension class is in general not determined, but the order is, and
+orders are all the downstream formulas need.
 
 Also provides Smith normal form over Z (arbitrary precision, no modular
 shortcuts; the matrices that show up here are tiny) and the two Euler
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 
 @dataclass(frozen=True)
@@ -175,14 +174,12 @@ def smith_normal_form(M: IntMatrix):
 class FgAb:
     """Finitely generated abelian group: Z^rank + torsion of given order.
 
-    ``factors`` (when known) are the invariant factors of the torsion
-    part.  ``torsion_known`` is False for entries whose torsion order the
+    ``torsion_known`` is False for entries whose torsion order the
     caller could not supply (reported as order 1 with a caveat).
     """
 
     rank: int
     torsion_order: int = 1
-    factors: tuple | None = None
     torsion_known: bool = True
 
     def __post_init__(self):
@@ -190,13 +187,6 @@ class FgAb:
             raise ValueError("rank must be >= 0")
         if self.torsion_order < 1:
             raise ValueError("torsion order must be >= 1")
-        if self.factors is not None:
-            fac = tuple(int(f) for f in self.factors)
-            if prod(fac) != self.torsion_order:
-                raise ValueError("factors do not multiply to torsion_order")
-            if any(fac[i + 1] % fac[i] for i in range(len(fac) - 1)):
-                raise ValueError("factors violate divisibility chain")
-            object.__setattr__(self, "factors", fac)
 
     @property
     def is_trivial(self):
@@ -208,26 +198,15 @@ ZERO = FgAb(0, 1)
 Z = FgAb(1, 1)
 
 
-def cokernel(M: IntMatrix) -> FgAb:
-    """Z^rows / (column space of M), via Smith normal form."""
-    _, d, _ = smith_normal_form(M)
-    diag = d.diagonal()
-    nonzero = [x for x in diag if x != 0]
-    factors = tuple(x for x in nonzero if x != 1)
-    return FgAb(M.rows - len(nonzero), prod(factors) if factors else 1,
-                factors if factors else None)
-
-
 def extend(sub: FgAb, quot: FgAb) -> FgAb:
     """Middle term of a short exact sequence 0 -> sub -> B -> quot -> 0.
 
-    Rank and torsion order of B are forced; the invariant factors are not
-    (the extension class is unknown), so no factors are attached.
+    Rank and torsion order of B are forced; its invariant factors are not
+    (the extension class is unknown).
     """
     return FgAb(
         sub.rank + quot.rank,
         sub.torsion_order * quot.torsion_order,
-        None,
         sub.torsion_known and quot.torsion_known,
     )
 

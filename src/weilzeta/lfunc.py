@@ -2,10 +2,11 @@
 
 The Dedekind zeta function of a quadratic field factors as
 zeta(s) * L(s, chi_D) with chi_D the Kronecker character.  At s=0 both
-factors are elementary: L(0) is a finite rational sum over one period of
-the character, and for even characters (D > 0, where L(0) = 0) the
-derivative L'(0) collapses by Lerch's formula to a finite sum of log-gamma
-values.  No analytic continuation machinery is needed.
+factors are elementary sums over one period of the character, which is
+built once as a table: L(0) is a finite rational sum, and for even
+characters (D > 0, where L(0) = 0) the derivative L'(0) collapses by
+Lerch's formula to a finite sum of log-gamma values.  No analytic
+continuation machinery is needed.
 """
 
 from __future__ import annotations
@@ -13,61 +14,59 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .number_field import NumberFieldInvariants, is_fundamental, InvariantsError
+import numpy as np
+
+from .ff_zeta import _prime_factors
+from .number_field import MAX_ABS_DISC, NumberFieldInvariants, is_fundamental, InvariantsError
+
+# characters of the prime discriminants -4, 8 and -8 on one period
+_TWO_ADIC = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1), -8: (0, 1, 0, 1, 0, -1, 0, -1)}
 
 
 class AnalyticSideUnavailable(ValueError):
     """The analytic side is only computed for Q and quadratic fields."""
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), with the standard conventions at n = -1, 0, 2."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+def character_table(D: int) -> np.ndarray:
+    """chi_D(a) for 0 <= a < |D| as int8, D fundamental with |D| > 1.
+
+    D is the product of prime discriminants -4, +-8 and
+    p* = (-1)^((p-1)/2) p, one for each prime p | D, and chi_D is the
+    product of their characters; the character of p* is the Legendre
+    symbol mod p."""
+    if not is_fundamental(D) or abs(D) <= 1:
+        raise InvariantsError(f"D={D} is not a fundamental discriminant with |D| > 1")
+    m, two_adic = abs(D), D
+    chi = np.ones(m, dtype=np.int8)
+    for p in _prime_factors(m):
+        if p == 2:
+            continue
+        two_adic //= p if p % 4 == 1 else -p
+        legendre = np.full(p, -1, dtype=np.int8)
+        legendre[0] = 0
+        legendre[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
+        chi *= np.tile(legendre, m // p)
+    if two_adic != 1:
+        period = _TWO_ADIC[two_adic]
+        chi *= np.tile(np.array(period, dtype=np.int8), m // len(period))
+    return chi
 
 
 def l_at_0(D: int) -> Fraction:
     """L(0, chi_D) as an exact rational: sum chi(a) * (1/2 - a/|D|) over
-    one period.  Vanishes exactly for even characters (D > 0)."""
-    if not is_fundamental(D) or abs(D) <= 1:
-        raise InvariantsError(f"D={D} is not a fundamental discriminant with |D| > 1")
-    m = abs(D)
-    return sum(
-        (kronecker(D, a) * (Fraction(1, 2) - Fraction(a, m)) for a in range(1, m)),
-        Fraction(0),
-    )
+    one period, which is -sum chi(a) * a / |D| since chi sums to 0.
+    Vanishes exactly for even characters (D > 0)."""
+    chi = character_table(D)  # the int64 sum is exact: |sum| < |D|^2 <= 2^48
+    return Fraction(-int(np.arange(abs(D), dtype=np.int64) @ chi), abs(D))
 
 
 def l_prime_at_0(D: int) -> float:
     """L'(0, chi_D) for D > 0 fundamental, via Lerch:
     L'(0) = sum chi(a) * ln Gamma(a/D)."""
-    if D <= 1 or not is_fundamental(D):
+    if D <= 1:
         raise InvariantsError(f"D={D} is not a fundamental discriminant > 1")
-    return math.fsum(
-        kronecker(D, a) * math.lgamma(a / D) for a in range(1, D) if kronecker(D, a)
-    )
+    chi = character_table(D).tolist()
+    return math.fsum(c * math.lgamma(a / D) for a, c in enumerate(chi) if c)
 
 
 def dedekind_leading_at_0(inv: NumberFieldInvariants) -> tuple:
@@ -76,10 +75,14 @@ def dedekind_leading_at_0(inv: NumberFieldInvariants) -> tuple:
     zeta(0) = -1/2.
 
     The order is decided by an exact rationality test on L(0): order 0
-    when L(0) != 0, otherwise order 1 with the numeric L'(0).
+    when L(0) != 0, otherwise order 1 with the numeric L'(0).  Discs
+    above MAX_ABS_DISC are refused before any sum is built.
     """
     if (inv.r1, inv.r2) == (1, 0):
         return 0, -0.5  # zeta(0) for Q itself
+    if abs(inv.disc) > MAX_ABS_DISC:
+        raise AnalyticSideUnavailable(f"|disc| = {abs(inv.disc)} exceeds the supported bound "
+                                      f"MAX_ABS_DISC = {MAX_ABS_DISC}")
     if inv.r1 + 2 * inv.r2 != 2 or not is_fundamental(inv.disc) or abs(inv.disc) <= 1:
         raise AnalyticSideUnavailable(
             f"analytic side unavailable for degree {inv.r1 + 2 * inv.r2}, disc {inv.disc}"

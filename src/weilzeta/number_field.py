@@ -2,10 +2,11 @@
 
 Quadratic fields are computed from first principles: class numbers by
 enumerating reduced binary quadratic forms (imaginary case) or cycles of
-reduced indefinite forms (real case), the fundamental unit by the
-continued-fraction expansion of the standard generator of the maximal
-order.  Both enumerations visit only the (a, b) that the reduction
-bounds allow, so either class number costs O(|D|) steps.  Higher-degree
+reduced indefinite forms (real case), the fundamental unit by one
+period of the continued-fraction expansion of the standard generator of
+the maximal order.  Both enumerations visit only the (a, b) that the
+reduction bounds allow, so either class number costs O(|D|) steps, and
+|D| is bounded by MAX_ABS_DISC on both sides of the check.  Higher-degree
 fields enter only through user-supplied invariant files; nothing here
 does ideal arithmetic.
 """
@@ -19,6 +20,11 @@ from math import gcd, isqrt
 
 class InvariantsError(ValueError):
     """Bad input to an invariants computation or an invariants file."""
+
+
+# the largest |D| either side computes: the character table behind the
+# L-sums peaks at about 19 bytes per unit of |D|
+MAX_ABS_DISC = 2**24
 
 
 @dataclass(frozen=True)
@@ -115,67 +121,37 @@ def class_number_imaginary(D: int) -> int:
     return count
 
 
-def _floor_quad(p: int, s: int, q: int) -> int:
-    # floor((p + sqrt(N)) / q) given s = isqrt(N), N not a square
-    if q > 0:
-        return (p + s) // q
-    return -((p + s) // (-q)) - 1
-
-
-def fundamental_unit_real(D: int, max_steps: int = 100_000):
+def fundamental_unit_real(D: int):
     """Smallest unit (x + y*sqrt(D))/2 > 1 with x^2 - D y^2 = +-4.
 
-    Found via the continued-fraction expansion of the standard generator
-    of the maximal order (sqrt(D/4) or (1+sqrt(D))/2): the first return of
-    a (P,Q) state gives the period, and the corresponding convergent
-    matrix stabilizes the generator, so its bottom row is the unit.
+    The continued fraction of the standard generator (P0 + sqrt(n))/Q0 of
+    the maximal order (sqrt(D/4) or (1+sqrt(D))/2) runs through complete
+    quotients (P + sqrt(n))/Q with Q > 0; its period ends at the first
+    k >= 1 with Q_k = Q0, and the convergent h/g before that step gives
+    the unit h + g*sqrt(n) or h - g*(1-sqrt(D))/2 (Cohen, ch. 5).
     Returns ((x, y), regulator).
     """
-    if D <= 0:
-        raise InvariantsError("need D > 0")
-    if not is_fundamental(D):
-        raise InvariantsError(f"D={D} is not a fundamental discriminant")
-    if D % 4 == 0:
-        n, p0, q0 = D // 4, 0, 1
-    else:
-        n, p0, q0 = D, 1, 2
+    if D <= 1 or not is_fundamental(D):
+        raise InvariantsError(f"D={D} is not a fundamental discriminant > 1")
+    n, p, q0 = (D // 4, 0, 1) if D % 4 == 0 else (D, 1, 2)
     s = isqrt(n)
-
-    seen = {}
-    p, q = p0, q0
-    # convergent matrix M = [[p_k, p_{k-1}], [q_k, q_{k-1}]]
-    m = (1, 0, 0, 1)
-    mats = []
-    for k in range(max_steps):
-        if (p, q) in seen:
-            j = seen[(p, q)]
-            mj = mats[j]
-            mk = m
-            # A = M_{k-1} * M_{j-1}^(-1); det M_{j-1} = +-1
-            det = mj[0] * mj[3] - mj[1] * mj[2]
-            inv = (mj[3] * det, -mj[1] * det, -mj[2] * det, mj[0] * det)
-            gamma = mk[2] * inv[0] + mk[3] * inv[2]
-            delta = mk[2] * inv[1] + mk[3] * inv[3]
-            if D % 4 == 0:
-                x, y = abs(2 * delta), abs(gamma)
-            else:
-                x, y = abs(gamma + 2 * delta), abs(gamma)
-            if y == 0 or x * x - D * y * y not in (4, -4):
-                raise InvariantsError(f"unit search failed for D={D}")
-            try:
-                reg = math.log((x + y * math.sqrt(D)) / 2)
-            except OverflowError:  # x + y sqrt(D) = 2x -+ 4/(x + y sqrt(D)): log x is exact
-                reg = math.log(x)
-            return (x, y), reg
-        seen[(p, q)] = k
-        mats.append(m)
-        a = _floor_quad(p, s, q)
-        m = (a * m[0] + m[1], m[0], a * m[2] + m[3], m[2])
+    q, h, h_prev, g, g_prev = q0, 1, 0, 0, 1
+    while True:
+        a = (p + s) // q
+        h, h_prev = a * h + h_prev, h
+        g, g_prev = a * g + g_prev, g
         p = a * q - p
         q = (n - p * p) // q
-        if q == 0:
-            raise InvariantsError("square discriminant slipped through")
-    raise InvariantsError(f"period bound exceeded for D={D}")
+        if q == q0:
+            break
+    x, y = (2 * h, g) if D % 4 == 0 else (2 * h - g, g)
+    if x * x - D * y * y not in (4, -4):
+        raise InvariantsError(f"unit search failed for D={D}")
+    try:
+        reg = math.log((x + y * math.sqrt(D)) / 2)
+    except OverflowError:  # x + y sqrt(D) = 2x -+ 4/(x + y sqrt(D)): log x is exact
+        reg = math.log(x)
+    return (x, y), reg
 
 
 def _reduced_indefinite_forms(D: int):
@@ -244,6 +220,9 @@ def quad_invariants(D: int) -> NumberFieldInvariants:
     (D = 1 gives Q itself)."""
     if D == 1:
         return RATIONALS
+    if abs(D) > MAX_ABS_DISC:
+        raise InvariantsError(f"|disc| = {abs(D)} exceeds the supported bound "
+                              f"MAX_ABS_DISC = {MAX_ABS_DISC}")
     if not is_fundamental(D):
         raise InvariantsError(f"D={D} is not a fundamental discriminant")
     if D < 0:

@@ -251,43 +251,33 @@ def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
     table = weil_tables.numberring_compact_table(inv)
     rank = rank_weighted_euler(table)
     predicted = SymbolicValue(Fraction(-inv.h, inv.w), {}, inv.R)
-    name = object_name or f"Spec O_F, disc {inv.disc}"
-    try:
-        ord_, value = dedekind_leading_at_0(inv)
-    except AnalyticSideUnavailable as exc:
-        return VerificationReport(
-            object=name,
-            invariants=_invariants_dict(inv),
-            weil_table=serialize_table(table),
-            rank_predicted=rank,
-            ord_computed=None,
-            special_value_predicted=predicted,
-            special_value_computed=None,
-            verdict=UNSUPPORTED,
-            tolerances={"value": tol},
-            caveats=[str(exc)],
-        )
-    computed = SymbolicValue(Fraction(1), {}, value)
-    delta = abs(computed.numeric() - predicted.numeric())
-    bound = tol * max(1.0, abs(predicted.numeric()))
-    failed = []
-    if ord_ != rank:
-        failed.append(f"failed: ord computed {ord_} != rank predicted {rank}")
-    if not delta <= bound:
-        failed.append(f"failed: |computed - predicted| = {delta!r} > "
-                      f"tol * max(1, |predicted|) = {bound!r}")
-    return VerificationReport(
-        object=name,
+    report = VerificationReport(
+        object=object_name or f"Spec O_F, disc {inv.disc}",
         invariants=_invariants_dict(inv),
         weil_table=serialize_table(table),
         rank_predicted=rank,
-        ord_computed=ord_,
+        ord_computed=None,
         special_value_predicted=predicted,
-        special_value_computed=computed,
-        verdict=FAIL if failed else PASS,
+        special_value_computed=None,
+        verdict=UNSUPPORTED,
         tolerances={"value": tol},
-        caveats=failed,
     )
+    try:
+        report.ord_computed, value = dedekind_leading_at_0(inv)
+    except AnalyticSideUnavailable as exc:
+        report.caveats = [str(exc)]
+        return report
+    report.special_value_computed = SymbolicValue(Fraction(1), {}, value)
+    delta = abs(value - predicted.numeric())
+    bound = tol * max(1.0, abs(predicted.numeric()))
+    ord_ = report.ord_computed
+    if ord_ != rank:
+        report.caveats.append(f"failed: ord computed {ord_} != rank predicted {rank}")
+    if not delta <= bound:
+        report.caveats.append(f"failed: |computed - predicted| = {delta!r} > "
+                              f"tol * max(1, |predicted|) = {bound!r}")
+    report.verdict = FAIL if report.caveats else PASS
+    return report
 
 
 def pn_of_report(inv: NumberFieldInvariants, n: int,

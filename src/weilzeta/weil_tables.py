@@ -27,7 +27,7 @@ UNKNOWN_TORSION_CAVEAT = "k-torsion unknown"
 def numberring_compact_table(inv: NumberFieldInvariants) -> GradedTable:
     """Compact-support table from the long exact sequence against
     R Gamma(X_infty) = Z^(r1+r2) in degree 0: the diagonal Z -> Z^(r1+r2)
-    is injective with free cokernel of rank r1+r2-1."""
+    is injective with a free quotient of rank r1+r2-1."""
     h2 = extend(FgAb(0, inv.h), FgAb(inv.unit_rank, 1))
     return GradedTable(
         {1: FgAb(inv.unit_rank, 1), 2: h2, 3: FgAb(0, inv.w)}, dim=1
@@ -59,11 +59,9 @@ def pn_of_table(
     for j in range(n + 1):
         even = k_torsion.get(2 * j)
         odd = k_torsion.get(2 * j + 1)
-        sub = FgAb(0, even, None, True) if even else FgAb(0, 1, None, False)
+        sub = FgAb(0, even) if even else FgAb(0, 1, False)
         entries[2 * j + 2] = extend(sub, FgAb(borel_dim(inv, j + 1), 1))
-        entries[2 * j + 3] = (
-            FgAb(0, odd, None, True) if odd else FgAb(0, 1, None, False)
-        )
+        entries[2 * j + 3] = FgAb(0, odd) if odd else FgAb(0, 1, False)
     table = GradedTable(entries, dim=n + 1, caveats=(MOD2_CAVEAT,))
     if table.has_unknown_torsion():
         table.caveats = (MOD2_CAVEAT, UNKNOWN_TORSION_CAVEAT)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from weilzeta import reports
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
-from weilzeta.number_field import NumberFieldInvariants, quad_invariants
+from weilzeta.number_field import MAX_ABS_DISC, NumberFieldInvariants, quad_invariants
 from weilzeta.reports import (
     FAIL,
     PASS,
@@ -329,11 +330,12 @@ def test_cli_parser_reuse_keeps_no_state():
     # no flag, default or error may carry over from one call to the next
     argvs = [
         ["numberring", "--disc", "5", "--json"],
-        ["numberring", "--disc", "5"],
-        ["pn-of", "--disc", "5", "--n", "1", "--tol", "0.5"],
+        ["numberring", "--disc", "5", "--tol", "0.5"],
+        ["pn-of", "--disc", "5", "--n", "1"],
         ["pn-of", "--disc", "5", "--n", "0"],
         ["pn-of", "--disc", "5"],
         ["ff", "pn", "--q", "3", "--n", "1"],
+        ["numberring", "--disc", "5"],
     ]
     reused = [cli(*argv) for argv in argvs]
     assert build_parser() is build_parser()
@@ -343,7 +345,9 @@ def test_cli_parser_reuse_keeps_no_state():
         fresh.append(cli(*argv))
     assert reused == fresh
     assert reused[0][1].startswith("{") and reused[1][1].startswith("object:")
-    assert "tolerances:        value=1e-08\n" in reused[3][1]  # the default, not 0.5
+    assert "tolerances:        value=0.5\n" in reused[1][1]
+    for i in (3, 6):
+        assert "tolerances:        value=1e-08\n" in reused[i][1]  # the default, not 0.5
     assert reused[4][0] == 1 and "required: --n" in reused[4][2]
     assert reused[5][0] == 0 and reused[5][2] == ""
 
@@ -378,6 +382,39 @@ def test_cli_rejects_bad_tol(capsys, tol):
         assert run([*argv, "--tol", tol]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: --tol must be >= 0, got {float(tol)}\n"
+
+
+def test_cli_pn_of_tol_needs_n_zero(capsys):
+    # n >= 1 is rank-only: no value is compared, so a tolerance is refused
+    assert run(["pn-of", "--disc", "5", "--n", "1", "--tol", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --tol applies only to pn-of --n 0")
+    assert len(err.splitlines()) == 1
+    assert run(["pn-of", "--disc", "5", "--n", "0", "--tol", "0.5"]) == 0
+    assert "tolerances:        value=0.5\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["numberring", "--disc", "16777217"], ["pn-of", "--disc", "-16777219", "--n", "1"],
+     ["numberring", "--disc", str(10**30)]],
+    ids=["numberring", "pn-of", "huge-non-fundamental"],
+)
+def test_cli_disc_above_bound_is_refused(argv):
+    start = time.perf_counter()
+    code, out, err = cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert f"exceeds the supported bound MAX_ABS_DISC = {MAX_ABS_DISC}\n" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_invariants_disc_above_bound_is_unsupported(tmp_path):
+    path = tmp_path / "inv.txt"
+    path.write_text("r1=2\nr2=0\nh=1\nR=1\nw=2\ndisc=16777217\n")
+    code, out, err = cli("numberring", "--invariants", str(path))
+    assert code == 3 and err == "" and "verdict:           UNSUPPORTED" in out
+    assert f"exceeds the supported bound MAX_ABS_DISC = {MAX_ABS_DISC}" in out
 
 
 def test_cli_pn_of_huge_regulator():

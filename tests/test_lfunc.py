@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
-from math import gcd
 
+import numpy as np
 import pytest
 
 from weilzeta.lfunc import (
     AnalyticSideUnavailable,
+    character_table,
     dedekind_leading_at_0,
-    kronecker,
     l_at_0,
     l_prime_at_0,
 )
@@ -37,37 +37,78 @@ def jacobi_oracle(a, n):
     return result if n == 1 else 0
 
 
+def kronecker_oracle(a, n):
+    """Kronecker symbol (a/n): the Jacobi symbol on the odd part of n,
+    (a/2) = 0, 1, -1 for a even, a = +-1 and a = +-3 (mod 8), and
+    (a/-1) = sign of a."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    result = -1 if n < 0 and a < 0 else 1
+    n = abs(n)
+    while n % 2 == 0:
+        n //= 2
+        result *= 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
+    return result * jacobi_oracle(a, n)
+
+
 def test_kronecker_base_cases():
-    assert kronecker(1, 0) == 1
-    assert kronecker(-1, 0) == 1
-    assert kronecker(2, 0) == 0
-    assert kronecker(5, -1) == 1
-    assert kronecker(-5, -1) == -1
-    assert kronecker(3, 2) == -1
-    assert kronecker(7, 2) == 1
-    assert kronecker(4, 2) == 0
+    assert character_table(-3).tolist() == [0, 1, -1]
+    assert character_table(-4).tolist() == [0, 1, 0, -1]
+    assert character_table(5).tolist() == [0, 1, -1, -1, 1]
+    assert character_table(8).tolist() == [0, 1, 0, -1, 0, -1, 0, 1]
+    assert character_table(-8).tolist() == [0, 1, 0, 1, 0, -1, 0, -1]
+    assert character_table(12).tolist() == [0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1]
 
 
 def test_kronecker_matches_jacobi():
-    for n in range(1, 200, 2):
-        for a in range(-30, 30):
-            assert kronecker(a, n) == jacobi_oracle(a, n)
+    # (D/n) for odd n > 0 is the Jacobi symbol
+    for D in range(-200, 200):
+        if abs(D) > 1 and is_fundamental(D):
+            table = character_table(D)
+            for n in range(1, 200, 2):
+                assert table[n % abs(D)] == jacobi_oracle(D, n), (D, n)
 
 
 def test_kronecker_multiplicative_in_top():
-    for n in range(1, 60):
-        for a in range(1, 30):
-            for b in range(1, 30):
-                assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+    # (D1 D2 / n) = (D1 / n)(D2 / n); for coprime fundamental D1, D2 the
+    # product D1 D2 is fundamental again
+    discs = [D for D in range(-60, 61) if abs(D) > 1 and is_fundamental(D)]
+    for D1 in discs:
+        for D2 in discs:
+            if math.gcd(D1, D2) == 1:
+                t1, t2, t12 = character_table(D1), character_table(D2), character_table(D1 * D2)
+                for n in range(1, 60):
+                    assert t12[n % abs(D1 * D2)] == t1[n % abs(D1)] * t2[n % abs(D2)], (D1, D2, n)
 
 
 def test_kronecker_periodicity_fundamental():
-    # chi_D(a) = (D/a) is periodic mod |D| for fundamental D
+    # chi_D(a) = (D/a) is periodic mod |D| for fundamental D, vanishes off
+    # the units, and chi_D(-1) is the sign of D
     for D in (-3, -4, -7, -8, 5, 8, 12, 13):
+        table = character_table(D)
+        assert table[-1] == (1 if D > 0 else -1)
         for a in range(1, 1001):
-            assert kronecker(D, a) == kronecker(D, a + abs(D))
-            if gcd(a, abs(D)) > 1:
-                assert kronecker(D, a) == 0
+            assert kronecker_oracle(D, a) == kronecker_oracle(D, a + abs(D)) == table[a % abs(D)]
+            assert (table[a % abs(D)] == 0) == (math.gcd(a, abs(D)) > 1)
+
+
+def test_character_table_matches_kronecker():
+    # chi_D(a) = (D/a), for every a in one period and every fundamental D;
+    # (D/a) is completely multiplicative in a, so the oracle runs at the
+    # primes a and the products fill in the rest
+    spf = list(range(5000))  # smallest prime factor
+    for f in range(2, 71):
+        for k in range(f * f, 5000, f):
+            spf[k] = min(spf[k], f)
+    for D in range(-4999, 5000):
+        if abs(D) > 1 and is_fundamental(D):
+            table = character_table(D)
+            assert table.dtype == np.int8 and len(table) == abs(D)
+            expected = [kronecker_oracle(D, 0), 1]
+            for a in range(2, abs(D)):
+                p = spf[a]
+                expected.append(kronecker_oracle(D, p) if p == a else expected[p] * expected[a // p])
+            assert table.tolist() == expected, D
 
 
 def test_l_at_0_class_number_formula():
@@ -134,4 +175,7 @@ def test_l_at_0_rejects_non_fundamental():
         l_at_0(-12)
     with pytest.raises(InvariantsError):
         l_prime_at_0(-3)
+    for D in (1, -12, 9):
+        with pytest.raises(InvariantsError):
+            character_table(D)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -115,6 +116,9 @@ def test_fundamental_unit_examples():
     assert math.isclose(reg, math.log(1 + math.sqrt(2)), rel_tol=1e-13)
     (x, y), _ = fundamental_unit_real(13)
     assert (x, y) == (3, 1)
+    for d in (1, 0, -4, 48):  # Q, no field, imaginary, not fundamental
+        with pytest.raises(InvariantsError):
+            fundamental_unit_real(d)
 
 
 def test_fundamental_unit_pell_and_minimality():
@@ -129,6 +133,28 @@ def test_fundamental_unit_pell_and_minimality():
                 assert val < 0 or isqrt(val) ** 2 != val
         if x * x - d * y * y == 4:
             assert d * y * y - 4 < 0 or isqrt(d * y * y - 4) ** 2 != d * y * y - 4
+
+
+def test_fundamental_unit_is_minimal():
+    # x^2 - D y^2 = +-4, and no smaller y >= 1 makes D y^2 +- 4 a square.
+    # Every unit > 1 is a power of the fundamental one, so a solution with
+    # a smaller y would make e = (x + y sqrt D)/2 a k-th power, for a prime
+    # k with ((1 + sqrt 5)/2)^k <= e; the only y it could have is
+    # (e^(1/k) -+ e^(-1/k)) / sqrt D, which is tested exactly
+    primes = [k for k in range(2, 400) if all(k % f for f in range(2, k))]
+    for d in fundamental_range(2, 2000):
+        (x, y), reg = fundamental_unit_real(d)
+        assert x > 0 and y > 0 and x * x - d * y * y in (4, -4)
+        with localcontext() as ctx:
+            ctx.prec = len(str(x)) + 30
+            root_d = Decimal(d).sqrt()
+            log_e = ((x + y * root_d) / 2).ln()
+            for k in (k for k in primes if k * math.log((1 + math.sqrt(5)) / 2) <= reg + 1e-9):
+                root = (log_e / k).exp()
+                for sign in (1, -1):
+                    v = int(((root - sign / root) / root_d).to_integral_value())
+                    square = d * v * v + 4 * sign
+                    assert not (1 <= v < y and isqrt(square) ** 2 == square), (d, k)
 
 
 def test_class_number_real_known_values():
