@@ -58,6 +58,7 @@ class _Parser(argparse.ArgumentParser):
 # polynomial syntax: integer coefficients, caret powers, e.g. "x^3-2x+1"
 
 _TERM_RE = re.compile(r"^([+-]?\d*)\*?(x(?:\^(\d+))?)?$")
+MAX_POLY_DEGREE = 100  # the coefficient tuple is dense up to the top exponent
 
 
 def parse_poly(text: str) -> tuple:
@@ -66,14 +67,21 @@ def parse_poly(text: str) -> tuple:
     if not s:
         raise UsageError("empty polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(chunks) != s:  # a sign with no term after it
+        raise UsageError(f"cannot parse polynomial {text!r}")
     coeffs: dict[int, int] = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m or (not m.group(1).strip("+-") and not m.group(2)):
             raise UsageError(f"cannot parse polynomial term {chunk!r}")
         coef_s, xpart, exp_s = m.groups()
-        coef = int(coef_s) if coef_s.strip("+-") else int(coef_s + "1") if coef_s else 1
-        deg = (int(exp_s) if exp_s else 1) if xpart else 0
+        try:  # int() refuses more than sys.get_int_max_str_digits() digits
+            coef = int(coef_s) if coef_s.strip("+-") else int(coef_s + "1") if coef_s else 1
+            deg = (int(exp_s) if exp_s else 1) if xpart else 0
+        except ValueError:
+            raise UsageError(f"too many digits in polynomial term {chunk[:40]!r}...") from None
+        if deg > MAX_POLY_DEGREE:
+            raise UsageError(f"polynomial exponent {deg} exceeds {MAX_POLY_DEGREE}")
         coeffs[deg] = coeffs.get(deg, 0) + coef
     top = max(coeffs)
     return tuple(coeffs.get(i, 0) for i in range(top + 1))

@@ -1,12 +1,17 @@
 """Exact zeta functions of projective spaces and hyperelliptic curves
 over finite fields.
 
-Curve point counts use discrete-log (Zech-style) tables: each field
-F_{p^k} tabulates log and exp over a deterministic primitive element g,
-so one Horner step of f(x) over all x = g^i is a table lookup plus a
-prime-field constant added to base-p digit 0.  y^2 = v then has 1 root
-if v = 0, 2 if log v is even and 0 otherwise, so the affine count is a
-log-parity sum.  The modulus of F_{p^k} is the lexicographically
+Curve point counts over a prime field F_p are plain int64 residues:
+Horner over x = 0..p-1, then a table of the squares mod p gives the
+quadratic character of each value.  Over F_{p^k}, k >= 2, they use
+discrete-log (Zech-style) tables: the field tabulates log and exp over a
+deterministic primitive element g, so one Horner step of f(x) over
+x = g^i is a table lookup plus a prime-field constant added to base-p
+digit 0.  f has coefficients in F_p, so f(x^p) = f(x)^p has the same
+quadratic character as f(x): f is evaluated once per Frobenius orbit
+(the orbit of g^i is g^(i p^j)) and each value is weighted by the orbit
+size.  y^2 = v has 1 root if v = 0, 2 if v is a nonzero square (log v
+even) and 0 otherwise.  The modulus of F_{p^k} is the lexicographically
 minimal monic irreducible, so every output is reproducible bit for bit.
 
 The numerator P(t) of a curve's zeta function is reconstructed from the
@@ -188,6 +193,11 @@ class FiniteField:
 
     So ``exp[log[a] + i] = a * g^i`` for every a and 0 <= i < q-1, with
     no branch for a = 0 and no reduction mod q-1.
+
+    ``frobenius_orbits()`` returns the orbits of x -> x^p on F_q^* in log
+    coordinates, also built on first use: the orbit of g^i is g^j for j
+    in {i p^t mod (q-1)}, whose base-p digits are the rotations of the k
+    digits of i.
     """
 
     def __init__(self, p: int, k: int, modulus):
@@ -196,6 +206,7 @@ class FiniteField:
         self.modulus = tuple(modulus)  # length k+1, monic, ascending
         self.q = p**k
         self._tables = None
+        self._orbits = None
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
@@ -238,6 +249,27 @@ class FiniteField:
             exp[:n] = exp[n:2 * n] = codes
             self._tables = log, exp
         return self._tables
+
+    def frobenius_orbits(self):
+        """(reps, sizes): the smallest exponent i of each orbit of
+        i -> p i mod (q-1) on 0..q-2, ascending as int32, and each
+        orbit's size as int8.  A size divides k and is below k only on
+        the exponents of proper subfields."""
+        if self._orbits is None:
+            p, k = self.p, self.k
+            # i p^t mod (q-1) rotates the k base-p digits of i, so on the
+            # grid of digits it is a cyclic roll of the axes
+            grid = np.arange(self.q, dtype=np.int32).reshape((p,) * k)
+            low, fixed = grid.copy(), np.ones(grid.shape, dtype=np.int8)
+            for t in range(1, k):
+                rot = grid.transpose(np.roll(np.arange(k), t))
+                np.minimum(low, rot, out=low)
+                fixed += rot == grid
+            # drop q-1, whose digits are all p-1: it is 0 mod q-1
+            is_rep = (low == grid).ravel()[:-1]
+            self._orbits = (np.flatnonzero(is_rep).astype(np.int32),
+                            (k // fixed.ravel()[:-1][is_rep]).astype(np.int8))
+        return self._orbits
 
 
 _FIELD_CACHE: dict = {}
@@ -312,9 +344,10 @@ def count_points(variety, m: int = 1) -> int:
     """Number of F_{q^m}-points.
 
     Projective space uses the closed form sum_{i<=n} q^(m i).  Curves are
-    counted over every x in F_{q^m} with the field's log tables: affine
-    solutions of y^2 = f(x) plus the point at infinity (deg f odd),
-    subject to q^m <= 2^20.
+    counted over every x in F_{q^m} as affine solutions of y^2 = f(x)
+    plus the point at infinity (deg f odd), subject to q^m <= 2^20: in
+    int64 residues for m = 1, and once per Frobenius orbit on the field's
+    log tables for m >= 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -325,22 +358,38 @@ def count_points(variety, m: int = 1) -> int:
         raise TypeError(f"unsupported variety {variety!r}")
     if variety.p**m > SIZE_BOUND:
         raise SizeBoundExceeded(f"q^m = {variety.p**m} exceeds {SIZE_BOUND}")
-    field = make_field(variety.p, m)
-    log, exp = field.tables()
-    p = field.p
+    p = variety.p
     f = [c % p for c in variety.f]
-    # x = g^i for i = 0..q-2, so log x = i; Horner over all of them at once
-    i = np.arange(field.q - 1, dtype=np.int32)
-    acc = np.full(field.q - 1, f[-1], dtype=np.int32)
+    if m == 1:
+        x = np.arange(p, dtype=np.int64)
+        acc = np.full(p, f[-1], dtype=np.int64)
+        for c in reversed(f[:-1]):
+            acc *= x
+            if c:
+                acc += c
+            acc %= p
+        square = np.zeros(p, dtype=bool)
+        r = np.arange((p + 1) // 2, dtype=np.int64)
+        square[r * r % p] = True
+        # y^2 = v has 2 roots if v is a nonzero square, 1 if v = 0 and 0
+        # otherwise; 0 is in the table, so count 2 per square and take 1
+        # back per zero
+        affine = 2 * np.count_nonzero(square[acc]) - np.count_nonzero(acc == 0)
+        return int(affine) + 1
+    field = make_field(p, m)
+    log, exp = field.tables()
+    reps, sizes = field.frobenius_orbits()
+    # x = g^i for each orbit representative i, so log x = i
+    acc = np.full(len(reps), f[-1], dtype=np.int32)
     for c in reversed(f[:-1]):
-        acc = exp[log[acc] + i]
+        acc = exp[log[acc] + reps]
         if c:
             digit0 = acc % p
             acc += (digit0 + c) % p - digit0
-    fx = np.append(acc, f[0])  # x = 0 contributes f(0)
-    # y^2 = v has 1 root if v = 0, 2 if log v is even, 0 otherwise;
-    # log 0 is even, so count 2 per even log and take 1 back per zero
-    affine = 2 * np.count_nonzero(log[fx] % 2 == 0) - np.count_nonzero(fx == 0)
+    # as for m = 1 with log v even for a square; log 0 is even, and x = 0
+    # contributes f(0)
+    affine = (2 * np.sum(sizes, where=log[acc] % 2 == 0) - np.sum(sizes, where=acc == 0)
+              + 2 * (log[f[0]] % 2 == 0) - (f[0] == 0))
     return int(affine) + 1
 
 

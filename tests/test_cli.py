@@ -139,9 +139,30 @@ def test_parse_poly():
 
 
 def test_parse_poly_errors():
-    for bad in ("", "x^", "y^3", "x**3", "3..5x"):
+    for bad in ("", "x^", "y^3", "x**3", "3..5x", "+", "-", "x--1", "x^3+-", "x^101", "9" * 5000):
         with pytest.raises(UsageError):
             parse_poly(bad)
+    assert len(parse_poly("x^100+1")) == 101
+
+
+def test_parse_poly_arbitrary_text_is_tuple_or_usage_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pieces = st.sampled_from(["x", "^", "+", "-", "*", " ", "0", "1", "7", "99", "100", "101", "9" * 30])
+    texts = st.text(max_size=12) | st.lists(pieces, max_size=12).map("".join)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            coeffs = parse_poly(text)
+        except UsageError as exc:
+            assert len(str(exc).splitlines()) == 1
+            return
+        assert type(coeffs) is tuple and coeffs
+        assert len(coeffs) <= 101 and all(type(c) is int for c in coeffs)
+
+    check()
 
 
 def test_poly_roundtrip():
@@ -407,6 +428,17 @@ def test_cli_disc_above_bound_is_refused(argv):
     assert code == 1 and out == "" and err.startswith("error: ")
     assert f"exceeds the supported bound MAX_ABS_DISC = {MAX_ABS_DISC}\n" in err
     assert len(err.splitlines()) == 1
+
+
+def test_cli_ff_curve_huge_exponent_is_refused():
+    # the exponent is refused before the coefficient tuple is densified
+    start = time.perf_counter()
+    code, out, err = cli("ff", "curve", "--p", "7", "--f", "x^1000000000000+x+1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: polynomial exponent 1000000000000 exceeds 100\n")
+    # a leading coefficient divisible by p still drops the degree
+    code, out, err = cli("ff", "curve", "--p", "7", "--f", "7x^9+x^3+x+1")
+    assert code == 0 and err == "" and "curve y^2 = x^3+x+1 over F_7" in out
 
 
 def test_cli_invariants_disc_above_bound_is_unsupported(tmp_path):

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from weilzeta import ff_zeta
@@ -98,14 +100,14 @@ def ext_affine_count_oracle(f, p, mod):
     with F_{p^k} = F_p[t]/(mod)."""
     k = len(mod) - 1
     field = list(product(range(p), repeat=k))
-    squares = [ext_mul(y, y, mod, p) for y in field]
+    squares = Counter(ext_mul(y, y, mod, p) for y in field)
     total = 0
     for x in field:
         fx = (0,) * k
         for c in reversed(f):
             fx = ext_mul(fx, x, mod, p)
             fx = ((fx[0] + c) % p,) + fx[1:]
-        total += squares.count(fx)
+        total += squares[fx]
     return total
 
 
@@ -210,6 +212,21 @@ def test_log_exp_tables_and_root_counts():
         assert sum(roots) == q
 
 
+def test_frobenius_orbits_partition():
+    # the orbits of i -> p i mod (q-1) partition 0..q-2; each is listed
+    # once, by its smallest member, with its exact size
+    for p, k in ((3, 2), (5, 2), (3, 3), (3, 4), (3, 6), (7, 3)):
+        field = make_field(p, k)
+        n = field.q - 1
+        reps, sizes = field.frobenius_orbits()
+        assert reps.dtype == "int32" and sizes.dtype == "int8" and len(reps) == len(sizes)
+        assert (np.diff(reps) > 0).all()
+        for i, size in zip(reps.tolist(), sizes.tolist()):
+            orbit = {i * p**j % n for j in range(k)}
+            assert i == min(orbit) and size == len(orbit) and k % size == 0
+        assert int(sizes.sum()) == n
+
+
 def test_primitive_element_is_smallest():
     for p, k in ((3, 2), (5, 2), (7, 1), (11, 1), (3, 3)):
         field = make_field(p, k)
@@ -244,9 +261,10 @@ def test_count_points_curve_against_oracle():
 
 def test_count_points_extension_against_oracle():
     # brute force over F_{p^m} with the oracle's own arithmetic, modulo
-    # the field's minimal modulus
+    # the field's minimal modulus; at m = 4 and 6 the proper subfields
+    # F_{p^2} and F_{p^3} give Frobenius orbits shorter than m
     tails = ((1, 1, 0), (1, 2, 0), (2, 0, 1), (3, 1, 1), (1, 0, 0, 0, 1))
-    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2), (11, 2)):
+    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (3, 4), (5, 4), (3, 6)):
         mod = make_field(p, m).modulus
         checked = 0
         for lead in range(1, p):
@@ -267,9 +285,26 @@ def test_count_points_extension_consistency():
     assert expected_counts(zeta, 6) == [count_points(c, m) for m in range(1, 7)]
 
 
+def test_prime_field_count_matches_log_tables():
+    # residues over F_p against Horner on the log tables of F_p, as over
+    # F_{p^m}: x = g^i, and y^2 = v has 2 roots if log v is even
+    for p in (1009, 65537, 1048573):
+        log, exp = make_field(p, 1).tables()
+        i = np.arange(p - 1)
+        for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (0, 5, 0, 1, 0, 0, 0, 2)):
+            acc = np.full(p - 1, f[-1])
+            for c in reversed(f[:-1]):
+                acc = (exp[log[acc] + i] + c) % p
+            fx = np.append(acc, f[0])
+            affine = 2 * np.count_nonzero(log[fx] % 2 == 0) - np.count_nonzero(fx == 0)
+            assert count_points(CurveSpec(p, f), 1) == affine + 1
+
+
 def test_count_points_size_bound():
     with pytest.raises(SizeBoundExceeded):
         count_points(CurveSpec(3, (0, 1, 0, 1)), m=13)
+    with pytest.raises(SizeBoundExceeded):
+        count_points(CurveSpec(1048583, (1, 1, 0, 1)), 1)  # the first prime above 2^20
     with pytest.raises(ValueError):
         count_points(ProjectiveSpace(2, 1), m=0)
 
