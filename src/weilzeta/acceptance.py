@@ -30,18 +30,19 @@ from .reports import (
 NUMBER_RING_SUITE = (-3, -4, -7, -8, -11, -15, -23, -47, 5, 8, 12, 13, 40)
 
 
-def check_number_rings(tol: float = DEFAULT_TOL):
-    """Criterion 1: ord and |zeta* - (-hR/w)| for the quadratic suite,
-    < 1 s per field."""
+def check_number_rings():
+    """Criterion 1: ord and |zeta* - (-hR/w)| <= DEFAULT_TOL relative for
+    the quadratic suite, < 1 s per field."""
     bad = []
     for d in NUMBER_RING_SUITE:
         start = time.perf_counter()
         inv = quad_invariants(d)
-        report = numberring_report(inv, tol)
+        report = numberring_report(inv)
         expected = -inv.h * inv.R / inv.w
         ord_ok = report.ord_computed == report.rank_predicted == inv.unit_rank
         value = report.special_value_computed.numeric()
-        value_ok = report.verdict == PASS and abs(value - expected) <= tol * max(1.0, abs(expected))
+        bound = DEFAULT_TOL * max(1.0, abs(expected))
+        value_ok = report.verdict == PASS and abs(value - expected) <= bound
         fast = time.perf_counter() - start < 1.0
         if not (ord_ok and value_ok and fast):
             bad.append((d, ord_ok, value_ok, fast))
@@ -207,10 +208,10 @@ CRITERIA = (
 )
 
 
-def run_suite(tol: float = DEFAULT_TOL) -> bool:
+def run_suite() -> bool:
     all_ok = True
     for name, check in CRITERIA:
-        ok, detail = check(tol) if check is check_number_rings else check()
+        ok, detail = check()
         all_ok = all_ok and ok
         print(f"[{'PASS' if ok else 'FAIL'}] criterion {name} -- {detail}")
     print("acceptance suite:", "PASS" if all_ok else "FAIL")

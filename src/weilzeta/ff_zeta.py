@@ -1,23 +1,23 @@
 """Exact zeta functions of projective spaces and hyperelliptic curves
 over finite fields.
 
-Curve point counts over a prime field F_p are plain int64 residues:
-Horner over x = 0..p-1, then a table of the squares mod p gives the
-quadratic character of each value.  Over F_{p^k}, k >= 2, they use
-discrete-log (Zech-style) tables: the field tabulates log and exp over a
-deterministic primitive element g, so one Horner step of f(x) over
-x = g^i is a table lookup plus a prime-field constant added to base-p
-digit 0.  f has coefficients in F_p, so f(x^p) = f(x)^p has the same
-quadratic character as f(x): f is evaluated once per Frobenius orbit
-(the orbit of g^i is g^(i p^j)) and each value is weighted by the orbit
-size.  y^2 = v has 1 root if v = 0, 2 if v is a nonzero square (log v
-even) and 0 otherwise.  The modulus of F_{p^k} is the lexicographically
-minimal monic irreducible, so every output is reproducible bit for bit.
+A curve y^2 = f(x), deg f odd, has N_m = q^m + 1 + sum_x chi(f(x))
+points over F_{q^m}, chi the quadratic character (0 at 0).  Over a prime
+field F_p, f is evaluated in plain int64 residues and chi read from the
+Legendre table mod p.  Over F_{p^k}, k >= 2, the field record holds
+discrete-log (Zech-style) tables over a deterministic primitive element
+g, so one Horner step of f(x) over x = g^i is a table lookup plus a
+prime-field constant added to base-p digit 0, and chi(v) = (-1)^(log v).
+f has coefficients in F_p, so f(x^p) = f(x)^p has the same character as
+f(x): f is evaluated once per Frobenius orbit (the orbit of g^i is
+g^(i p^j)) and each value is weighted by the orbit size.  The modulus of
+F_{p^k} is the lexicographically minimal monic irreducible, so every
+output is reproducible bit for bit.
 
 The numerator P(t) of a curve's zeta function is reconstructed from the
 counts N_1..N_g via the exponential recursion and completed by the
-functional equation; counts beyond genus are never used for construction,
-only for verification.
+functional equation; counts beyond genus only verify Z(t), against the
+counts that Newton's identities read off it.
 """
 
 from __future__ import annotations
@@ -160,116 +160,95 @@ def _is_irreducible(f, p: int) -> bool:
     """Monic f over F_p irreducible iff x^(p^k) = x mod f and
     gcd(x^(p^(k/l)) - x, f) = 1 for every prime l | k."""
     k = len(f) - 1
-    if k < 1:
+    # both sides come back trimmed
+    if _poly_powmod([0, 1], p**k, f, p) != _poly_mulmod([0, 1], [1], f, p):
         return False
-    x_red = _poly_mulmod([0, 1], [1], f, p)  # x reduced mod f
-    xq = _poly_powmod([0, 1], p**k, f, p)
-    if _poly_trim(list(xq)) != _poly_trim(list(x_red)):
-        return False
-    for l in range(2, k + 1):
-        if k % l or not is_prime(l):
-            continue
-        g = _poly_powmod([0, 1], p ** (k // l), f, p)
-        g = list(g) + [0, 0]
+    for l in _prime_factors(k):
+        g = _poly_powmod([0, 1], p ** (k // l), f, p) + [0, 0]
         g[1] = (g[1] - 1) % p  # x^(p^(k/l)) - x
         if len(_poly_gcd(g, f, p)) > 1:
             return False
     return True
 
 
+@dataclass(frozen=True, eq=False)
 class FiniteField:
-    """F_{p^k} as residues modulo a fixed monic irreducible of degree k.
+    """F_{p^k} = F_p[t]/(modulus), modulus monic of degree k (ascending).
 
     An element is encoded as the base-p integer of its coefficient vector
     (ascending), so a prime-field constant c is the integer c and adding
-    it touches only base-p digit 0.  ``tables()`` returns int32 discrete-
-    log tables over g, the smallest encoded element of order q-1, built
-    on first use:
+    it touches only base-p digit 0.  The int32 tables are over g, the
+    smallest encoded element of order q-1:
 
     - ``log[a]`` is the i in [0, q-2] with g^i = a, and ``log[0]`` is
       2(q-1);
-    - ``exp`` has length 3(q-1): g^i at i and at i + q-1, then a zero
-      tail.
-
-    So ``exp[log[a] + i] = a * g^i`` for every a and 0 <= i < q-1, with
-    no branch for a = 0 and no reduction mod q-1.
-
-    ``frobenius_orbits()`` returns the orbits of x -> x^p on F_q^* in log
-    coordinates, also built on first use: the orbit of g^i is g^j for j
-    in {i p^t mod (q-1)}, whose base-p digits are the rotations of the k
-    digits of i.
+    - ``exp`` has length 3(q-1): g^i at i and at i + q-1, then zeros, so
+      ``exp[log[a] + i] = a * g^i`` for every a and 0 <= i < q-1, with no
+      branch for a = 0 and no reduction mod q-1;
+    - ``reps`` holds the smallest exponent of each orbit of
+      i -> p i mod (q-1) on 0..q-2 (the orbits of x -> x^p on F_q^*),
+      ascending, and ``sizes`` (int8) each orbit's size, a divisor of k.
     """
 
-    def __init__(self, p: int, k: int, modulus):
-        self.p = p
-        self.k = k
-        self.modulus = tuple(modulus)  # length k+1, monic, ascending
-        self.q = p**k
-        self._tables = None
-        self._orbits = None
+    p: int
+    k: int
+    modulus: tuple
+    log: np.ndarray
+    exp: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
 
-    def __repr__(self):
-        return f"FiniteField(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
+    @property
+    def q(self) -> int:
+        return self.p**self.k
 
-    def _decode(self, code: int) -> list:
-        return [(code // self.p**j) % self.p for j in range(self.k)]
 
-    def primitive_element(self) -> int:
-        """The smallest encoded element of order q-1."""
-        p, q = self.p, self.q
-        cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
-        if self.k == 1:
-            return next(a for a in range(1, q) if all(pow(a, e, p) != 1 for e in cofactors))
-        # the codes below p are F_p^*, of order dividing p - 1 < q - 1
-        return next(a for a in range(p, q) if all(
-            _poly_powmod(self._decode(a), e, self.modulus, p) != [1] for e in cofactors))
+def _log_tables(p: int, k: int, modulus):
+    """(log, exp) of F_{p^k} as described in FiniteField."""
+    q = p**k
+    n = q - 1
+    cofactors = [n // l for l in _prime_factors(n)]
+    # g: the smallest code of order n; for k >= 2 the codes below p are
+    # F_p^*, of order dividing p - 1 < n
+    for code in range(1 if k == 1 else p, q):
+        g = [(code // p**j) % p for j in range(k)]
+        if all(_poly_powmod(g, e, modulus, p) != [1] for e in cofactors):
+            break
+    cols = [_poly_mulmod([0] * j + [1], g, modulus, p) for j in range(k)]
+    step = np.array([c + [0] * (k - len(c)) for c in cols], dtype=np.int64).T
+    # the digit rows of g^0..g^(n-1), filled by doubling: rows [m, 2m)
+    # are rows [0, m) times g^m, whose k x k matrix is step
+    digits = np.zeros((n, k), dtype=np.int64)
+    digits[0, 0] = 1
+    m = 1
+    while m < n:
+        rows = min(m, n - m)
+        digits[m:m + rows] = digits[:rows] @ step.T % p
+        step = step @ step % p
+        m += rows
+    codes = (digits @ (p ** np.arange(k))).astype(np.int32)
+    log = np.empty(q, dtype=np.int32)
+    log[codes] = np.arange(n, dtype=np.int32)
+    log[0] = 2 * n
+    exp = np.zeros(3 * n, dtype=np.int32)
+    exp[:n] = exp[n:2 * n] = codes
+    return log, exp
 
-    def tables(self):
-        """(log, exp) as described in the class docstring."""
-        if self._tables is None:
-            p, k, n = self.p, self.k, self.q - 1
-            g = self._decode(self.primitive_element())
-            cols = [_poly_mulmod([0] * j + [1], g, self.modulus, p) for j in range(k)]
-            step = np.array([c + [0] * (k - len(c)) for c in cols], dtype=np.int64).T
-            # the digit rows of g^0..g^(n-1), filled by doubling: rows
-            # [m, 2m) are rows [0, m) times g^m, whose k x k matrix is step
-            digits = np.zeros((n, k), dtype=np.int64)
-            digits[0, 0] = 1
-            m = 1
-            while m < n:
-                rows = min(m, n - m)
-                digits[m:m + rows] = digits[:rows] @ step.T % p
-                step = step @ step % p
-                m += rows
-            codes = (digits @ (p ** np.arange(k))).astype(np.int32)
-            log = np.empty(self.q, dtype=np.int32)
-            log[codes] = np.arange(n, dtype=np.int32)
-            log[0] = 2 * n
-            exp = np.zeros(3 * n, dtype=np.int32)
-            exp[:n] = exp[n:2 * n] = codes
-            self._tables = log, exp
-        return self._tables
 
-    def frobenius_orbits(self):
-        """(reps, sizes): the smallest exponent i of each orbit of
-        i -> p i mod (q-1) on 0..q-2, ascending as int32, and each
-        orbit's size as int8.  A size divides k and is below k only on
-        the exponents of proper subfields."""
-        if self._orbits is None:
-            p, k = self.p, self.k
-            # i p^t mod (q-1) rotates the k base-p digits of i, so on the
-            # grid of digits it is a cyclic roll of the axes
-            grid = np.arange(self.q, dtype=np.int32).reshape((p,) * k)
-            low, fixed = grid.copy(), np.ones(grid.shape, dtype=np.int8)
-            for t in range(1, k):
-                rot = grid.transpose(np.roll(np.arange(k), t))
-                np.minimum(low, rot, out=low)
-                fixed += rot == grid
-            # drop q-1, whose digits are all p-1: it is 0 mod q-1
-            is_rep = (low == grid).ravel()[:-1]
-            self._orbits = (np.flatnonzero(is_rep).astype(np.int32),
-                            (k // fixed.ravel()[:-1][is_rep]).astype(np.int8))
-        return self._orbits
+def _frobenius_orbits(p: int, k: int):
+    """(reps, sizes) of F_{p^k} as described in FiniteField."""
+    # i p^t mod (q-1) rotates the k base-p digits of i, so on the grid of
+    # digits it is a cyclic roll of the axes
+    grid = np.arange(p**k, dtype=np.int32).reshape((p,) * k)
+    low, fixed = grid.copy(), np.ones(grid.shape, dtype=np.int8)
+    for t in range(1, k):
+        rot = grid.transpose(np.roll(np.arange(k), t))
+        np.minimum(low, rot, out=low)
+        fixed += rot == grid
+    # drop q-1, whose digits are all p-1: it is 0 mod q-1
+    is_rep = (low == grid).ravel()[:-1]
+    return (np.flatnonzero(is_rep).astype(np.int32),
+            (k // fixed.ravel()[:-1][is_rep]).astype(np.int8))
 
 
 _FIELD_CACHE: dict = {}
@@ -277,7 +256,8 @@ _FIELD_CACHE: dict = {}
 
 def make_field(p: int, k: int) -> FiniteField:
     """F_{p^k} with the lexicographically smallest monic irreducible
-    modulus (coefficients compared from the constant term up)."""
+    modulus (coefficients compared from the constant term up), with all
+    of its tables, built once per (p, k)."""
     if (p, k) in _FIELD_CACHE:
         return _FIELD_CACHE[(p, k)]
     if not is_prime(p):
@@ -286,13 +266,25 @@ def make_field(p: int, k: int) -> FiniteField:
         raise ValueError("k must be >= 1")
     if p**k > SIZE_BOUND:
         raise SizeBoundExceeded(f"p^k = {p**k} exceeds {SIZE_BOUND}")
-    for idx in range(p**k):
-        coeffs = [(idx // p**j) % p for j in range(k)] + [1]
-        if _is_irreducible(coeffs, p):
-            field = FiniteField(p, k, coeffs)
-            _FIELD_CACHE[(p, k)] = field
-            return field
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
+    for idx in range(p**k):  # a monic irreducible of every degree exists
+        modulus = [(idx // p**j) % p for j in range(k)] + [1]
+        if _is_irreducible(modulus, p):
+            break
+    tables = (*_log_tables(p, k, modulus), *_frobenius_orbits(p, k))
+    for table in tables:  # the cached record is shared by every caller
+        table.flags.writeable = False
+    field = FiniteField(p, k, tuple(modulus), *tables)
+    _FIELD_CACHE[(p, k)] = field
+    return field
+
+
+def legendre(p: int) -> np.ndarray:
+    """The Legendre symbol mod an odd prime p as an int8 table: 0 at 0,
+    +1 at the nonzero squares r^2 mod p and -1 elsewhere."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    table[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +333,14 @@ class CurveSpec:
 
 
 def count_points(variety, m: int = 1) -> int:
-    """Number of F_{q^m}-points.
-
-    Projective space uses the closed form sum_{i<=n} q^(m i).  Curves are
-    counted over every x in F_{q^m} as affine solutions of y^2 = f(x)
-    plus the point at infinity (deg f odd), subject to q^m <= 2^20: in
-    int64 residues for m = 1, and once per Frobenius orbit on the field's
-    log tables for m >= 2.
+    """N_m = q^m + 1 + sum_{x in F_{q^m}} chi(f(x)) for a curve
+    y^2 = f(x), subject to q^m <= 2^20: y^2 = v has 1 + chi(v) roots,
+    and deg f is odd, so there is one point at infinity.  f is evaluated
+    in int64 residues for m = 1, and once per Frobenius orbit on the
+    field's log tables for m >= 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if isinstance(variety, ProjectiveSpace):
-        qm = variety.q**m
-        return sum(qm**i for i in range(variety.n + 1))
     if not isinstance(variety, CurveSpec):
         raise TypeError(f"unsupported variety {variety!r}")
     if variety.p**m > SIZE_BOUND:
@@ -368,17 +355,9 @@ def count_points(variety, m: int = 1) -> int:
             if c:
                 acc += c
             acc %= p
-        square = np.zeros(p, dtype=bool)
-        r = np.arange((p + 1) // 2, dtype=np.int64)
-        square[r * r % p] = True
-        # y^2 = v has 2 roots if v is a nonzero square, 1 if v = 0 and 0
-        # otherwise; 0 is in the table, so count 2 per square and take 1
-        # back per zero
-        affine = 2 * np.count_nonzero(square[acc]) - np.count_nonzero(acc == 0)
-        return int(affine) + 1
+        return p + 1 + int(legendre(p)[acc].sum())
     field = make_field(p, m)
-    log, exp = field.tables()
-    reps, sizes = field.frobenius_orbits()
+    log, exp, reps = field.log, field.exp, field.reps
     # x = g^i for each orbit representative i, so log x = i
     acc = np.full(len(reps), f[-1], dtype=np.int32)
     for c in reversed(f[:-1]):
@@ -386,11 +365,12 @@ def count_points(variety, m: int = 1) -> int:
         if c:
             digit0 = acc % p
             acc += (digit0 + c) % p - digit0
-    # as for m = 1 with log v even for a square; log 0 is even, and x = 0
-    # contributes f(0)
-    affine = (2 * np.sum(sizes, where=log[acc] % 2 == 0) - np.sum(sizes, where=acc == 0)
-              + 2 * (log[f[0]] % 2 == 0) - (f[0] == 0))
-    return int(affine) + 1
+
+    def chi(v):  # (-1)^(log v) on F_q^*, and 0 at 0
+        return np.where(v == 0, 0, 1 - 2 * (log[v] % 2))
+
+    # the orbits cover x != 0; x = 0 gives f(0)
+    return field.q + 1 + int(field.sizes @ chi(acc) + chi(f[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,39 +395,19 @@ class ZetaRational:
         object.__setattr__(self, "denominator_factors", den)
 
 
-def _log_deriv_series(coeffs, terms: int):
-    """Coefficients s_1..s_terms of t f'(t)/f(t) for f with f(0) = 1."""
-    # series inverse of f, then multiply by t f'
-    inv = [Fraction(1)]
-    for m in range(1, terms + 1):
-        acc = Fraction(0)
-        for i in range(1, min(m, len(coeffs) - 1) + 1):
-            acc += coeffs[i] * inv[m - i]
-        inv.append(-acc)
-    out = []
-    for m in range(1, terms + 1):
-        acc = Fraction(0)
-        for i in range(1, min(m, len(coeffs) - 1) + 1):
-            acc += i * coeffs[i] * inv[m - i]
-        out.append(acc)
-    return out
-
-
 def expected_counts(zeta: ZetaRational, terms: int):
-    """N_1..N_terms reconstructed from the rational function, exact."""
-    total = [Fraction(0)] * terms
-    for f in zeta.numerator_factors:
-        for i, s in enumerate(_log_deriv_series(f, terms)):
-            total[i] += s
-    for f in zeta.denominator_factors:
-        for i, s in enumerate(_log_deriv_series(f, terms)):
-            total[i] -= s
-    out = []
-    for v in total:
-        if v.denominator != 1:
-            raise ValueError("zeta log-derivative is not integral")
-        out.append(int(v))
-    return out
+    """N_1..N_terms of Z(t), exact: t Z'/Z = sum_m N_m t^m.  For each
+    factor f = 1 + a_1 t + ... + a_d t^d, t f'/f = sum_m s_m t^m with
+    s_m = m a_m - sum_{0<i<m} a_i s_{m-i} (Newton's identities, a_i = 0
+    for i > d), all in integers."""
+    counts = [0] * terms
+    for sign, factors in ((1, zeta.numerator_factors), (-1, zeta.denominator_factors)):
+        for f in factors:
+            a, s = f + (0,) * terms, [0]
+            for m in range(1, terms + 1):
+                s.append(m * a[m] - sum(a[i] * s[m - i] for i in range(1, m)))
+                counts[m - 1] += sign * s[m]
+    return counts
 
 
 def zeta_pn(q: int, n: int) -> ZetaRational:
@@ -486,11 +446,8 @@ def functional_equation_holds(zeta: ZetaRational, genus: int) -> bool:
     """P(t) = q^g t^(2g) P(1/(qt)) as an exact polynomial identity."""
     (p_coeffs,) = zeta.numerator_factors
     q, g = zeta.q, genus
-    if len(p_coeffs) != 2 * g + 1:
-        return False
-    return all(
-        p_coeffs[2 * g - i] * q**i == q**g * p_coeffs[i] for i in range(2 * g + 1)
-    )
+    return len(p_coeffs) == 2 * g + 1 and all(
+        p_coeffs[2 * g - i] * q**i == q**g * p_coeffs[i] for i in range(2 * g + 1))
 
 
 def curve_class_number(zeta: ZetaRational) -> int:
@@ -518,18 +475,13 @@ def special_value_s0(zeta: ZetaRational) -> tuple:
     If Z has leading coefficient Z1 * (t-1)^rho at t=1 then substituting
     t = q^(-s) gives zeta^*(0) = Z1 * (-ln q)^rho, so c = (-1)^rho Z1.
     """
-    rho = 0
-    lead = Fraction(1)
-    for f in zeta.numerator_factors:
-        o, l = _shifted_order_and_lead(f)
-        rho += o
-        lead *= l
-    for f in zeta.denominator_factors:
-        o, l = _shifted_order_and_lead(f)
-        rho -= o
-        lead /= l
-    sign = 1 if rho % 2 == 0 else -1
-    return rho, sign * lead
+    rho, lead = 0, Fraction(1)
+    for sign, factors in ((1, zeta.numerator_factors), (-1, zeta.denominator_factors)):
+        for f in factors:
+            o, l = _shifted_order_and_lead(f)
+            rho += sign * o
+            lead *= Fraction(l) ** sign
+    return rho, -lead if rho % 2 else lead
 
 
 def hasse_bound_holds(curve: CurveSpec, n1: int) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ff_zeta import _prime_factors
+from .ff_zeta import _prime_factors, legendre
 from .number_field import MAX_ABS_DISC, NumberFieldInvariants, is_fundamental, InvariantsError
 
 # characters of the prime discriminants -4, 8 and -8 on one period
@@ -42,10 +42,7 @@ def character_table(D: int) -> np.ndarray:
         if p == 2:
             continue
         two_adic //= p if p % 4 == 1 else -p
-        legendre = np.full(p, -1, dtype=np.int8)
-        legendre[0] = 0
-        legendre[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
-        chi *= np.tile(legendre, m // p)
+        chi *= np.tile(legendre(p), m // p)
     if two_adic != 1:
         period = _TWO_ADIC[two_adic]
         chi *= np.tile(np.array(period, dtype=np.int8), m // len(period))

@@ -253,6 +253,8 @@ def parse_invariants(text: str) -> NumberFieldInvariants:
         key, val = key.strip(), val.strip()
         if key not in (*_REQUIRED, "disc"):
             raise InvariantsError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InvariantsError(f"line {lineno}: key {key!r} is given twice")
         try:
             values[key] = int(val) if key != "R" else float(val)
         except ValueError:

@@ -174,9 +174,36 @@ def test_parse_k_torsion(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("# K-theory of Z[i]\nK2=24  # full order\nK3 = 2\n\n")
     assert parse_k_torsion(path) == {2: 24, 3: 2}
-    path.write_text("K2: 24\n")
-    with pytest.raises(UsageError, match="K<m>=<order>"):
-        parse_k_torsion(path)
+    for text, message in (("K2: 24\n", ":1: expected K<m>=<order>"),
+                          ("K3=2\nK2=0\n", ":2: the order of K2 must be >= 1, got 0"),
+                          ("K2=24\n# again\nK2=24\n", ":3: K2 is given twice"),
+                          ("K2=" + "9" * 5000, ":1: too many digits in 'K2=999")):
+        path.write_text(text)
+        with pytest.raises(UsageError, match=message):
+            parse_k_torsion(path)
+
+
+def test_parse_k_torsion_arbitrary_file_is_dict_or_usage_error(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    numbers = st.sampled_from(["0", "2", "3", "24", "9" * 5000, "-1", "x", ""])
+    lines = st.tuples(st.sampled_from(["K", "K", "k", "# K"]), numbers,
+                      st.sampled_from(["=", " = ", ":"]), numbers).map("".join)
+    texts = st.text(max_size=30) | st.lists(lines | st.text(max_size=8), max_size=6).map("\n".join)
+    path = tmp_path / "k.txt"
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(texts)
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        try:
+            orders = parse_k_torsion(path)
+        except UsageError as exc:
+            assert len(str(exc).splitlines()) == 1
+            return
+        assert all(type(m) is int and type(o) is int and o >= 1 for m, o in orders.items())
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +426,17 @@ def test_cli_numberring_fail_states_why(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("tol", ["-1", "nan"])
 def test_cli_rejects_bad_tol(capsys, tol):
-    for argv in (["numberring", "--disc", "-4"], ["pn-of", "--disc", "5", "--n", "1"], ["suite"]):
+    for argv in (["numberring", "--disc", "-4"], ["pn-of", "--disc", "5", "--n", "1"]):
         assert run([*argv, "--tol", tol]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: --tol must be >= 0, got {float(tol)}\n"
+
+
+def test_cli_suite_has_no_tol(capsys):
+    # criterion 1 always runs at DEFAULT_TOL: suite takes no --tol
+    assert run(["suite", "--tol", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: weilzeta: unrecognized arguments: --tol 1\n"
 
 
 def test_cli_pn_of_tol_needs_n_zero(capsys):
@@ -439,6 +473,55 @@ def test_cli_ff_curve_huge_exponent_is_refused():
     # a leading coefficient divisible by p still drops the degree
     code, out, err = cli("ff", "curve", "--p", "7", "--f", "7x^9+x^3+x+1")
     assert code == 0 and err == "" and "curve y^2 = x^3+x+1 over F_7" in out
+
+
+@pytest.mark.parametrize("q,n", [(3, 134), (1048573, 70), (3, 3000), (2, 10**30)],
+                         ids=["q3-n134", "q1048573-n70", "q3-n3000", "huge-n"])
+def test_cli_ff_pn_unprintable_value_is_refused(q, n):
+    # refused before any work: the exact mantissa would have more digits
+    # than str() of an int prints (4300 by default)
+    start = time.perf_counter()
+    code, out, err = cli("ff", "pn", "--q", str(q), "--n", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and err.startswith(f"error: the exact special value of P^{n} ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_ff_pn_printable_value_passes():
+    code, out, err = cli("ff", "pn", "--q", "3", "--n", "133", "--json")  # 4,252 digits
+    assert code == 0 and err == "" and json.loads(out)["verdict"] == "PASS"
+
+
+def test_cli_report_that_cannot_be_printed_is_an_error(tmp_path):
+    # each input prints, and so does (P^133 over F_3) minus (P^168 over F_2),
+    # about 2e21 with 3,954 and 3,932 digits; removing that from P^100 over
+    # F_5 leaves a denominator of more than 4300 digits, which str() refuses
+    # inside the same error handling as the rest of a verb
+    a, y, c, f = (tmp_path / f"{name}.json" for name in "aycf")
+    for path, argv in ((a, ("ff", "pn", "--q", "3", "--n", "133")),
+                       (y, ("ff", "pn", "--q", "2", "--n", "168")),
+                       (c, ("ff", "pn", "--q", "5", "--n", "100")),
+                       (f, ("open", str(a), str(y)))):
+        code, out, err = cli(*argv, "--json")
+        assert code == 0 and err == ""
+        path.write_text(out)
+    code, out, err = cli("open", str(c), str(f))
+    assert code == 1 and out == "" and err.startswith("error: Exceeds the limit (4300 digits)")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_bad_k_torsion_and_invariants_files(tmp_path):
+    path = tmp_path / "k.txt"
+    for text, message in (("K2=0\n", ":1: the order of K2 must be >= 1, got 0"),
+                          ("K2=4\nK3=2\nK2=4\n", ":3: K2 is given twice")):
+        path.write_text(text)
+        code, out, err = cli("pn-of", "--disc", "5", "--n", "1", "--k-torsion", str(path))
+        assert code == 1 and out == "" and err == f"error: {path}{message}\n"
+    path = tmp_path / "inv.txt"
+    path.write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\nh=1\ndisc=-23\n")
+    for verb in (("numberring",), ("pn-of", "--n", "1")):
+        code, out, err = cli(*verb, "--invariants", str(path))
+        assert (code, out, err) == (1, "", "error: line 6: key 'h' is given twice\n")
 
 
 def test_cli_invariants_disc_above_bound_is_unsupported(tmp_path):

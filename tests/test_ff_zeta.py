@@ -1,3 +1,5 @@
+import dataclasses
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -22,6 +24,7 @@ from weilzeta.ff_zeta import (
     functional_equation_holds,
     hasse_bound_holds,
     is_prime,
+    legendre,
     make_field,
     prime_power,
     special_value_s0,
@@ -111,6 +114,26 @@ def ext_affine_count_oracle(f, p, mod):
     return total
 
 
+def counts_series_oracle(zeta, terms):
+    """N_1..N_terms of Z(t) from its Fraction power series: Z is the
+    product of the numerator factors times the series inverse of each
+    denominator factor, and Z' = Z * sum_m N_m t^(m-1) gives
+    N_m = m z_m - sum_{0<i<m} N_i z_{m-i}."""
+    z = [Fraction(1)] + [Fraction(0)] * terms
+    for f in zeta.numerator_factors:
+        z = [sum(f[i] * z[m - i] for i in range(min(m, len(f) - 1) + 1)) for m in range(terms + 1)]
+    for f in zeta.denominator_factors:
+        # w = z / f: f_0 = 1, so w_m = z_m - sum_{0<i<=m} f_i w_{m-i}
+        w = []
+        for m in range(terms + 1):
+            w.append(z[m] - sum(f[i] * w[m - i] for i in range(1, min(m, len(f) - 1) + 1)))
+        z = w
+    counts = []
+    for m in range(1, terms + 1):
+        counts.append(m * z[m] - sum(counts[i - 1] * z[m - i] for i in range(1, m)))
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -153,6 +176,25 @@ def test_make_field_caching_and_bounds():
         make_field(3, 0)
 
 
+def test_field_is_one_frozen_record():
+    field = make_field(5, 2)
+    assert [f.name for f in dataclasses.fields(field)] == [
+        "p", "k", "modulus", "log", "exp", "reps", "sizes"]
+    assert field.q == 25 and field.modulus == (2, 0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.log = None
+    for table in (field.log, field.exp, field.reps, field.sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+def test_legendre_is_euler_criterion():
+    for p in (3, 5, 7, 11, 13, 101, 1009):
+        want = [0] + [1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)]
+        table = legendre(p)
+        assert table.dtype == "int8" and table.tolist() == want
+
+
 def test_is_prime_against_sieve():
     flags = prime_sieve(10**5)
     assert [n for n in range(10**5 + 1) if is_prime(n)] == [
@@ -182,7 +224,7 @@ def test_field_multiplication_against_modular_arithmetic():
     # exp[log a + log b] = a b, against polynomial products mod the modulus
     for p, k in ((3, 2), (5, 2), (3, 3)):
         field = make_field(p, k)
-        log, exp = field.tables()
+        log, exp = field.log, field.exp
 
         def decode(code):
             return [(code // p**j) % p for j in range(k)]
@@ -200,14 +242,13 @@ def test_log_exp_tables_and_root_counts():
     for p, k in ((3, 1), (3, 2), (5, 1), (7, 2), (3, 5)):
         field = make_field(p, k)
         q = field.q
-        log, exp = field.tables()
-        g = field.primitive_element()
+        log, exp = field.log, field.exp
         assert log.dtype == exp.dtype == "int32" and len(exp) == 3 * (q - 1)
         assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
         assert (exp[log[1:]] == list(range(1, q))).all()
         assert (log[exp[: q - 1]] == list(range(q - 1))).all()
         assert (exp[q - 1 : 2 * (q - 1)] == exp[: q - 1]).all() and not exp[2 * (q - 1) :].any()
-        assert exp[0] == 1 and exp[1] == g and log[0] == 2 * (q - 1)
+        assert exp[0] == 1 and log[0] == 2 * (q - 1)
         roots = [1] + [2 if log[v] % 2 == 0 else 0 for v in range(1, q)]
         assert sum(roots) == q
 
@@ -218,7 +259,7 @@ def test_frobenius_orbits_partition():
     for p, k in ((3, 2), (5, 2), (3, 3), (3, 4), (3, 6), (7, 3)):
         field = make_field(p, k)
         n = field.q - 1
-        reps, sizes = field.frobenius_orbits()
+        reps, sizes = field.reps, field.sizes
         assert reps.dtype == "int32" and sizes.dtype == "int8" and len(reps) == len(sizes)
         assert (np.diff(reps) > 0).all()
         for i, size in zip(reps.tolist(), sizes.tolist()):
@@ -228,10 +269,10 @@ def test_frobenius_orbits_partition():
 
 
 def test_primitive_element_is_smallest():
-    for p, k in ((3, 2), (5, 2), (7, 1), (11, 1), (3, 3)):
+    for p, k in ((3, 2), (5, 2), (7, 1), (11, 1), (3, 3), (2, 1), (2, 4)):
         field = make_field(p, k)
-        log, exp = field.tables()
-        g = field.primitive_element()
+        log, exp = field.log, field.exp
+        g = int(exp[1])
         # g^j has order q - 1 iff gcd(j, q - 1) = 1: no smaller element does
         assert all(gcd(int(log[a]), field.q - 1) > 1 for a in range(1, g))
         assert gcd(int(log[g]), field.q - 1) == 1
@@ -241,10 +282,13 @@ def test_primitive_element_is_smallest():
 # point counts
 
 def test_count_points_projective_space():
-    assert count_points(ProjectiveSpace(4, 1)) == 5
-    assert count_points(ProjectiveSpace(2, 2)) == 7
-    assert count_points(ProjectiveSpace(3, 0), m=5) == 1
-    assert count_points(ProjectiveSpace(2, 2), m=2) == 1 + 4 + 16
+    # #P^n(F_{q^m}) = sum_{i<=n} q^(m i), read off Z(t)
+    assert expected_counts(zeta_pn(4, 1), 1) == [5]
+    assert expected_counts(zeta_pn(2, 2), 1) == [7]
+    assert expected_counts(zeta_pn(3, 0), 5)[4] == 1
+    assert expected_counts(zeta_pn(2, 2), 2)[1] == 1 + 4 + 16
+    with pytest.raises(TypeError):
+        count_points(ProjectiveSpace(2, 2))
 
 
 def test_count_points_curve_against_oracle():
@@ -289,7 +333,8 @@ def test_prime_field_count_matches_log_tables():
     # residues over F_p against Horner on the log tables of F_p, as over
     # F_{p^m}: x = g^i, and y^2 = v has 2 roots if log v is even
     for p in (1009, 65537, 1048573):
-        log, exp = make_field(p, 1).tables()
+        field = make_field(p, 1)
+        log, exp = field.log, field.exp
         i = np.arange(p - 1)
         for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (0, 5, 0, 1, 0, 0, 0, 2)):
             acc = np.full(p - 1, f[-1])
@@ -306,7 +351,7 @@ def test_count_points_size_bound():
     with pytest.raises(SizeBoundExceeded):
         count_points(CurveSpec(1048583, (1, 1, 0, 1)), 1)  # the first prime above 2^20
     with pytest.raises(ValueError):
-        count_points(ProjectiveSpace(2, 1), m=0)
+        count_points(CurveSpec(3, (0, 1, 0, 1)), m=0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +415,25 @@ def test_zeta_curve_functional_equation_and_hasse():
         assert functional_equation_holds(zeta, c.genus)
         assert hasse_bound_holds(c, count_points(c, 1))
         assert curve_class_number(zeta) >= 1
+
+
+def test_expected_counts_against_series_oracle():
+    zetas = [zeta_pn(q, n) for q in (2, 3, 4, 9, 1048573) for n in range(4)]
+    zetas += [zeta_curve(c) for c in (
+        CurveSpec(3, (0, 1, 0, 1)), CurveSpec(7, (1, 2, 0, 0, 0, 1)),
+        CurveSpec(5, (1, 0, 1, 0, 0, 0, 0, 1)), CurveSpec(101, (5, 0, 1, 0, 0, 0, 0, 1)))]
+    rng = random.Random(20261018)
+    for _ in range(200):  # arbitrary integer factors with constant term 1
+        def factor():
+            return (1, *(rng.randint(-9, 9) for _ in range(rng.randint(0, 4))))
+        zetas.append(ZetaRational(tuple(factor() for _ in range(rng.randint(0, 3))),
+                                  tuple(factor() for _ in range(rng.randint(0, 3))),
+                                  rng.randint(2, 50)))
+    for zeta in zetas:
+        want = counts_series_oracle(zeta, 12)
+        got = expected_counts(zeta, 12)
+        assert all(type(n) is int for n in got) and got == want, zeta
+    assert expected_counts(zeta_pn(3, 2), 0) == []
 
 
 def test_zeta_factors_validated():

@@ -263,6 +263,31 @@ def test_parse_invariants_errors():
         parse_invariants("r1=0\nr2=yes\nh=1\nR=1\nw=2")
     with pytest.raises(InvariantsError, match="line 1"):
         parse_invariants("nonsense")
+    with pytest.raises(InvariantsError, match="line 3: key 'h' is given twice"):
+        parse_invariants("h=1\nr1=0\nh=1\nr2=1\nR=1\nw=2")
+
+
+def test_parse_invariants_arbitrary_text_is_invariants_or_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = st.sampled_from(["r1", "r2", "h", "R", "w", "disc", "x", ""])
+    values = st.sampled_from(["0", "1", "2", "-23", "5", "0.5", "1e400", "nan", "inf", "-1",
+                              "x", "", "1_0", "9" * 5000]) | st.text(max_size=5)
+    lines = st.tuples(keys, st.sampled_from(["=", " = ", ":", "=="]), values).map("".join)
+    texts = st.text(max_size=30) | st.lists(lines | st.text(max_size=8), max_size=8).map("\n".join)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            inv = parse_invariants(text)
+        except InvariantsError as exc:
+            assert len(str(exc).splitlines()) == 1
+            return
+        assert isinstance(inv, NumberFieldInvariants)
+        assert inv.h >= 1 and inv.w >= 1 and 0 < inv.R < math.inf
+
+    check()
 
 
 def test_load_invariants(tmp_path):
