@@ -4,10 +4,11 @@ over finite fields.
 A curve y^2 = f(x), deg f odd, has N_m = q^m + 1 + sum_x chi(f(x))
 points over F_{q^m}, chi the quadratic character (0 at 0).  Over a prime
 field F_p, f is evaluated in plain int64 residues and chi read from the
-Legendre table mod p.  Over F_{p^k}, k >= 2, the field record holds
-discrete-log (Zech-style) tables over a deterministic primitive element
-g, so one Horner step of f(x) over x = g^i is a table lookup plus a
-prime-field constant added to base-p digit 0, and chi(v) = (-1)^(log v).
+Legendre table mod p.  Over F_{p^k}, k >= 2, f is evaluated in
+discrete-log coordinates over a deterministic primitive element g: with
+the Zech logarithm Z(j) = log(1 + g^j), one Horner step
+acc * x + c = g^(log c + Z(log acc + log x - log c)) is a few integer
+adds and one table lookup, and chi(v) = (-1)^(log v).
 f has coefficients in F_p, so f(x^p) = f(x)^p has the same character as
 f(x): f is evaluated once per Frobenius orbit (the orbit of g^i is
 g^(i p^j)) and each value is weighted by the orbit size.  The modulus of
@@ -29,7 +30,14 @@ from math import comb
 import numpy as np
 
 SIZE_BOUND = 2**20
+# log 0 in FiniteField.zech: each Horner step of count_points takes less
+# than SIZE_BOUND off it, so for deg f <= 7 it stays above 2 SIZE_BOUND,
+# beyond every log and every index into zech
+_ZERO_LOG = 2**30
 COUNT_BOUND = 2**16  # verify_ff reproduces every N_m with q^m <= this
+# prime_power refuses q >= 2^this: one Miller-Rabin base costs seconds at
+# 10^4 bits, and the search tries a root for every k up to the bit length
+PRIME_POWER_BITS = 1024
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -78,7 +86,11 @@ def _iroot(n: int, k: int) -> int:
 
 
 def prime_power(q: int):
-    """(p, k) with q = p^k, or raise if q is not a prime power."""
+    """(p, k) with q = p^k, or raise if q is not a prime power or if
+    q >= 2^PRIME_POWER_BITS, before any root or primality test."""
+    if q >= 1 << PRIME_POWER_BITS:
+        raise ValueError(f"q has {q.bit_length()} bits; q >= 2^{PRIME_POWER_BITS} "
+                         "is not supported")
     if q >= 2:
         for k in range(1, q.bit_length() + 1):
             p = _iroot(q, k)
@@ -176,15 +188,16 @@ class FiniteField:
     """F_{p^k} = F_p[t]/(modulus), modulus monic of degree k (ascending).
 
     An element is encoded as the base-p integer of its coefficient vector
-    (ascending), so a prime-field constant c is the integer c and adding
-    it touches only base-p digit 0.  The int32 tables are over g, the
-    smallest encoded element of order q-1:
+    (ascending), so a prime-field constant c is the integer c.  The int32
+    tables are over g, the smallest encoded element of order n = q-1:
 
-    - ``log[a]`` is the i in [0, q-2] with g^i = a, and ``log[0]`` is
-      2(q-1);
-    - ``exp`` has length 3(q-1): g^i at i and at i + q-1, then zeros, so
-      ``exp[log[a] + i] = a * g^i`` for every a and 0 <= i < q-1, with no
-      branch for a = 0 and no reduction mod q-1;
+    - ``log[a]`` is the i in [0, n) with g^i = a, and ``log[0]`` is 2n;
+    - ``zech`` has length 2n+1 and holds the Zech logarithm
+      Z(j) = log(1 + g^j) at j and at j + n for 0 <= j < n, so
+      g^i + g^l = g^(l + zech[i - l + n]) for i, l in [0, n) with no
+      reduction mod n.  Where 1 + g^j = 0 (j = n/2, or j = 0 for p = 2)
+      it holds _ZERO_LOG, above every log, and at 2n it holds 0: a zero
+      accumulator is clamped onto that slot, since 0 + g^l = g^l;
     - ``reps`` holds the smallest exponent of each orbit of
       i -> p i mod (q-1) on 0..q-2 (the orbits of x -> x^p on F_q^*),
       ascending, and ``sizes`` (int8) each orbit's size, a divisor of k.
@@ -194,7 +207,7 @@ class FiniteField:
     k: int
     modulus: tuple
     log: np.ndarray
-    exp: np.ndarray
+    zech: np.ndarray
     reps: np.ndarray
     sizes: np.ndarray
 
@@ -204,7 +217,7 @@ class FiniteField:
 
 
 def _log_tables(p: int, k: int, modulus):
-    """(log, exp) of F_{p^k} as described in FiniteField."""
+    """(log, zech) of F_{p^k} as described in FiniteField."""
     q = p**k
     n = q - 1
     cofactors = [n // l for l in _prime_factors(n)]
@@ -226,13 +239,18 @@ def _log_tables(p: int, k: int, modulus):
         digits[m:m + rows] = digits[:rows] @ step.T % p
         step = step @ step % p
         m += rows
-    codes = (digits @ (p ** np.arange(k))).astype(np.int32)
+    exp = digits @ (p ** np.arange(k))  # exp[j] = g^j
     log = np.empty(q, dtype=np.int32)
-    log[codes] = np.arange(n, dtype=np.int32)
+    log[exp] = np.arange(n, dtype=np.int32)
     log[0] = 2 * n
-    exp = np.zeros(3 * n, dtype=np.int32)
-    exp[:n] = exp[n:2 * n] = codes
-    return log, exp
+    # 1 + g^j adds 1 to base-p digit 0, with no carry
+    exp += 1
+    exp[digits[:, 0] == p - 1] -= p
+    zech = np.zeros(2 * n + 1, dtype=np.int32)
+    zech[:n] = log[exp]
+    zech[log[p - 1]] = _ZERO_LOG  # 1 + g^j = 0 where g^j = -1
+    zech[n:2 * n] = zech[:n]
+    return log, zech
 
 
 def _frobenius_orbits(p: int, k: int):
@@ -337,7 +355,7 @@ def count_points(variety, m: int = 1) -> int:
     y^2 = f(x), subject to q^m <= 2^20: y^2 = v has 1 + chi(v) roots,
     and deg f is odd, so there is one point at infinity.  f is evaluated
     in int64 residues for m = 1, and once per Frobenius orbit on the
-    field's log tables for m >= 2.
+    field's Zech table for m >= 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -357,20 +375,23 @@ def count_points(variety, m: int = 1) -> int:
             acc %= p
         return p + 1 + int(legendre(p)[acc].sum())
     field = make_field(p, m)
-    log, exp, reps = field.log, field.exp, field.reps
-    # x = g^i for each orbit representative i, so log x = i
-    acc = np.full(len(reps), f[-1], dtype=np.int32)
+    log, zech, reps = field.log, field.zech, field.reps
+    n = np.int32(field.q - 1)  # so that n * (L >= n) stays int32
+    # L is log acc at x = g^reps, in [0, n), or >= n where acc = 0: zech
+    # sends 1 + g^j = 0 to _ZERO_LOG, and np.minimum sends the index of a
+    # zero acc to zech[2n] = 0
+    L = np.full(len(reps), log[f[-1]], dtype=np.int32)
     for c in reversed(f[:-1]):
-        acc = exp[log[acc] + reps]
+        L += reps
+        L -= n * (L >= n)
         if c:
-            digit0 = acc % p
-            acc += (digit0 + c) % p - digit0
-
-    def chi(v):  # (-1)^(log v) on F_q^*, and 0 at 0
-        return np.where(v == 0, 0, 1 - 2 * (log[v] % 2))
-
+            l = int(log[c])
+            L = zech[np.minimum(L + (n - l), 2 * n)] + l
+            L -= n * (L >= n)
     # the orbits cover x != 0; x = 0 gives f(0)
-    return field.q + 1 + int(field.sizes @ chi(acc) + chi(f[0]))
+    chi = np.where(L < n, 1 - 2 * (L & 1), 0)
+    chi0 = 1 - 2 * int(log[f[0]] & 1) if f[0] else 0
+    return field.q + 1 + int(field.sizes @ chi) + chi0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -32,6 +33,7 @@ from weilzeta.ff_zeta import (
     zeta_curve,
     zeta_pn,
     _poly_mulmod,
+    _poly_trim,
 )
 
 
@@ -71,6 +73,17 @@ def affine_count_oracle(f, p):
         fx = sum(c * x**i for i, c in enumerate(f)) % p
         total += sum(1 for y in range(p) if (y * y - fx) % p == 0)
     return total
+
+
+def exp_table(field):
+    """The inverse of field.log, laid out as g^i at i and at i + q-1 for
+    0 <= i < q-1, then q-1 zeros, so exp[log a + i] = a g^i for every a,
+    0 included (log 0 = 2(q-1)).  A slot no log points at stays 0."""
+    n = field.q - 1
+    exp = np.zeros(3 * n, dtype=np.int64)
+    exp[field.log[1:]] = np.arange(1, field.q)
+    exp[n : 2 * n] = exp[:n]
+    return exp
 
 
 def prime_sieve(n):
@@ -179,11 +192,11 @@ def test_make_field_caching_and_bounds():
 def test_field_is_one_frozen_record():
     field = make_field(5, 2)
     assert [f.name for f in dataclasses.fields(field)] == [
-        "p", "k", "modulus", "log", "exp", "reps", "sizes"]
+        "p", "k", "modulus", "log", "zech", "reps", "sizes"]
     assert field.q == 25 and field.modulus == (2, 0, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         field.log = None
-    for table in (field.log, field.exp, field.reps, field.sizes):
+    for table in (field.log, field.zech, field.reps, field.sizes):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
 
@@ -220,11 +233,25 @@ def test_prime_power_exact_roots():
             prime_power(bad)
 
 
+def test_prime_power_refuses_huge_q_in_bounded_time():
+    # one Miller-Rabin base costs seconds at 10^4 bits: q >= 2^1024 is
+    # refused before any root or primality test, and the search below
+    # the bound is unchanged
+    for huge in (2**1024, 10**4000 + 1, 2**13000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is not supported"):
+            prime_power(huge)
+        assert time.perf_counter() - start < 1.0
+    assert prime_power(2**1023) == (2, 1023)
+    with pytest.raises(ValueError, match="is not a prime power"):
+        prime_power(2**1024 - 1)
+
+
 def test_field_multiplication_against_modular_arithmetic():
     # exp[log a + log b] = a b, against polynomial products mod the modulus
     for p, k in ((3, 2), (5, 2), (3, 3)):
         field = make_field(p, k)
-        log, exp = field.log, field.exp
+        log, exp = field.log, exp_table(field)
 
         def decode(code):
             return [(code // p**j) % p for j in range(k)]
@@ -236,18 +263,44 @@ def test_field_multiplication_against_modular_arithmetic():
                 assert got[: len(expected)] == expected and not any(got[len(expected):])
 
 
+def test_zech_table_against_modular_arithmetic():
+    # g^zech[j] = 1 + g^j in polynomial arithmetic mod the modulus, with
+    # the sentinel exactly where 1 + g^j = 0 and 0 in the last slot
+    for p, k in ((3, 2), (5, 2), (3, 3), (7, 2), (2, 4)):
+        field = make_field(p, k)
+        n = field.q - 1
+        zech = field.zech
+        g = [(int(exp_table(field)[1]) // p**j) % p for j in range(k)]
+        powers = [[1]]
+        for _ in range(n - 1):
+            powers.append(_poly_mulmod(powers[-1], g, field.modulus, p))
+        assert len(zech) == 2 * n + 1 and zech[2 * n] == 0
+        for j in range(n):
+            one_plus = (powers[j] + [0] * k)[:k]
+            one_plus[0] = (one_plus[0] + 1) % p
+            assert zech[j] == zech[j + n]
+            if not any(one_plus):
+                assert zech[j] == ff_zeta._ZERO_LOG and j == (0 if p == 2 else n // 2)
+            else:
+                assert 0 <= zech[j] < n and _poly_trim(one_plus) == powers[zech[j]]
+        assert np.count_nonzero(zech == ff_zeta._ZERO_LOG) == 2 and ff_zeta._ZERO_LOG >= 2 * n
+        with pytest.raises(ValueError, match="read-only"):
+            zech[0] = 0
+
+
 def test_log_exp_tables_and_root_counts():
-    # log and exp are inverse bijections on F_q^*, g has order q - 1, and
-    # the root counts 1 (v = 0), 2 (log v even), 0 (log v odd) sum to q
+    # log is a bijection F_q^* -> [0, q-2] with inverse exp, g has order
+    # q - 1, zech repeats with period q - 1 before its zero slot, and the
+    # root counts 1 (v = 0), 2 (log v even), 0 (log v odd) sum to q
     for p, k in ((3, 1), (3, 2), (5, 1), (7, 2), (3, 5)):
         field = make_field(p, k)
         q = field.q
-        log, exp = field.log, field.exp
-        assert log.dtype == exp.dtype == "int32" and len(exp) == 3 * (q - 1)
+        log, zech, exp = field.log, field.zech, exp_table(field)
+        assert log.dtype == zech.dtype == "int32" and len(zech) == 2 * (q - 1) + 1
         assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
         assert (exp[log[1:]] == list(range(1, q))).all()
         assert (log[exp[: q - 1]] == list(range(q - 1))).all()
-        assert (exp[q - 1 : 2 * (q - 1)] == exp[: q - 1]).all() and not exp[2 * (q - 1) :].any()
+        assert (zech[q - 1 : 2 * (q - 1)] == zech[: q - 1]).all() and zech[2 * (q - 1)] == 0
         assert exp[0] == 1 and log[0] == 2 * (q - 1)
         roots = [1] + [2 if log[v] % 2 == 0 else 0 for v in range(1, q)]
         assert sum(roots) == q
@@ -271,8 +324,8 @@ def test_frobenius_orbits_partition():
 def test_primitive_element_is_smallest():
     for p, k in ((3, 2), (5, 2), (7, 1), (11, 1), (3, 3), (2, 1), (2, 4)):
         field = make_field(p, k)
-        log, exp = field.log, field.exp
-        g = int(exp[1])
+        log = field.log
+        g = int(exp_table(field)[1])
         # g^j has order q - 1 iff gcd(j, q - 1) = 1: no smaller element does
         assert all(gcd(int(log[a]), field.q - 1) > 1 for a in range(1, g))
         assert gcd(int(log[g]), field.q - 1) == 1
@@ -334,7 +387,7 @@ def test_prime_field_count_matches_log_tables():
     # F_{p^m}: x = g^i, and y^2 = v has 2 roots if log v is even
     for p in (1009, 65537, 1048573):
         field = make_field(p, 1)
-        log, exp = field.log, field.exp
+        log, exp = field.log, exp_table(field)
         i = np.arange(p - 1)
         for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (0, 5, 0, 1, 0, 0, 0, 2)):
             acc = np.full(p - 1, f[-1])
