@@ -5,7 +5,8 @@
 # vanishing and rank predictions therefore subtract, and the leading
 # coefficients divide.  The open_report combinator works entirely at the
 # level of finished reports, so any mix of verified objects can be
-# combined, and any FAIL or UNSUPPORTED verdict propagates.
+# combined, and U's verdict is never stronger than the weakest of
+# theirs (UNSUPPORTED, then FAIL, then RANK_ONLY, then PASS).
 
 from weilzeta.ff_zeta import ProjectiveSpace
 from weilzeta.number_field import RATIONALS

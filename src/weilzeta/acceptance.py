@@ -158,27 +158,28 @@ def check_smith_normal_form(trials: int = 500, seed: int = 20260823):
 
 
 def open_pairs():
-    """(base report, fiber report) pairs for the multiplicativity check."""
+    """(base report, fiber report, expected verdict) triples for the
+    multiplicativity check: a rank-only base makes U rank-only."""
     qi = quad_invariants(-4)
     return [
-        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(2, 0))),
-        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(3, 0))),
-        (numberring_report(quad_invariants(5)), ff_report(ff_zeta.ProjectiveSpace(11, 0))),
-        (pn_of_report(qi, 1), ff_report(ff_zeta.ProjectiveSpace(5, 1))),
-        (pn_of_report(RATIONALS, 2), ff_report(ff_zeta.ProjectiveSpace(7, 2))),
+        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(2, 0)), PASS),
+        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(3, 0)), PASS),
+        (numberring_report(quad_invariants(5)), ff_report(ff_zeta.ProjectiveSpace(11, 0)), PASS),
+        (pn_of_report(qi, 1), ff_report(ff_zeta.ProjectiveSpace(5, 1)), RANK_ONLY),
+        (pn_of_report(RATIONALS, 2), ff_report(ff_zeta.ProjectiveSpace(7, 2)), RANK_ONLY),
     ]
 
 
 def check_open_multiplicativity():
-    """Criterion 7: ord additivity under removal of closed fibers."""
+    """Criterion 7: ord additivity and each pair's expected verdict."""
     bad = []
-    for base, fiber in open_pairs():
+    for base, fiber, verdict in open_pairs():
         combined = open_report(base, [fiber])
         expected = base.ord_computed - fiber.ord_computed
         if not (
             combined.ord_computed == expected
             and combined.rank_predicted == expected
-            and combined.verdict == "PASS"
+            and combined.verdict == verdict
         ):
             bad.append((base.object, fiber.object, combined.verdict))
     return not bad, f"5 pairs, failures: {bad or 'none'}"

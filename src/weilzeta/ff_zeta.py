@@ -35,8 +35,8 @@ SIZE_BOUND = 2**20
 # beyond every log and every index into zech
 _ZERO_LOG = 2**30
 COUNT_BOUND = 2**16  # verify_ff reproduces every N_m with q^m <= this
-# prime_power refuses q >= 2^this: one Miller-Rabin base costs seconds at
-# 10^4 bits, and the search tries a root for every k up to the bit length
+# is_prime refuses n >= 2^this: one Miller-Rabin base costs seconds at
+# 10^4 bits, and prime_power tests q itself first
 PRIME_POWER_BITS = 1024
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -52,7 +52,10 @@ class SingularCurveError(ValueError):
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first 13 prime bases: exact for
-    n < 3.3e24, a strong probable-prime test above."""
+    n < 3.3e24, a strong probable-prime test above, refused at 2^PRIME_POWER_BITS."""
+    if n >= 1 << PRIME_POWER_BITS:
+        raise ValueError(f"{n.bit_length()}-bit prime (power) >= 2^{PRIME_POWER_BITS} "
+                         "is not supported")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -86,11 +89,8 @@ def _iroot(n: int, k: int) -> int:
 
 
 def prime_power(q: int):
-    """(p, k) with q = p^k, or raise if q is not a prime power or if
-    q >= 2^PRIME_POWER_BITS, before any root or primality test."""
-    if q >= 1 << PRIME_POWER_BITS:
-        raise ValueError(f"q has {q.bit_length()} bits; q >= 2^{PRIME_POWER_BITS} "
-                         "is not supported")
+    """(p, k) with q = p^k, or raise if q is not a prime power; the
+    k = 1 step tests q itself, so is_prime refuses a huge q first."""
     if q >= 2:
         for k in range(1, q.bit_length() + 1):
             p = _iroot(q, k)

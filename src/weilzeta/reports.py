@@ -10,8 +10,10 @@ floats.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +41,11 @@ class SymbolicValue:
     log_exponents: dict = field(default_factory=dict)
     real_factor: float = 1.0
 
+    def __post_init__(self):
+        # (ln p)^0 = 1: one normal form, so equality is field equality
+        if 0 in self.log_exponents.values():
+            object.__setattr__(self, "log_exponents", {p: e for p, e in self.log_exponents.items() if e})
+
     def numeric(self) -> float:
         out = float(self.mantissa) * self.real_factor
         for p, e in self.log_exponents.items():
@@ -57,21 +64,8 @@ class SymbolicValue:
         exps = dict(self.log_exponents)
         for p, e in other.log_exponents.items():
             exps[p] = exps.get(p, 0) - e
-        return SymbolicValue(
-            self.mantissa / other.mantissa,
-            {p: e for p, e in exps.items() if e},
-            self.real_factor / other.real_factor,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolicValue):
-            return NotImplemented
-        return (
-            self.mantissa == other.mantissa
-            and {p: e for p, e in self.log_exponents.items() if e}
-            == {p: e for p, e in other.log_exponents.items() if e}
-            and self.real_factor == other.real_factor
-        )
+        return SymbolicValue(self.mantissa / other.mantissa, exps,
+                             self.real_factor / other.real_factor)
 
     def to_json(self) -> dict:
         return {
@@ -244,6 +238,19 @@ def _invariants_dict(inv: NumberFieldInvariants) -> dict:
             "w": inv.w, "disc": inv.disc}
 
 
+def decide(checks, inputs=(), ok=PASS):
+    """(verdict, caveats) from named (name, passed) checks and the inputs'
+    verdicts: UNSUPPORTED, then FAIL with a 'failed: <name>' caveat per
+    failed check, then RANK_ONLY if any input is, and only then ok."""
+    verdicts = {*inputs, ok}
+    failed = [f"failed: {name}" for name, passed in checks if not passed]
+    if UNSUPPORTED in verdicts:
+        return UNSUPPORTED, []
+    if failed or FAIL in verdicts:
+        return FAIL, failed
+    return (RANK_ONLY if RANK_ONLY in verdicts else ok), []
+
+
 def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
                       object_name: str | None = None) -> VerificationReport:
     """Compare the cohomological prediction (ord = r1+r2-1, -hR/w) with
@@ -251,33 +258,33 @@ def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
     table = weil_tables.numberring_compact_table(inv)
     rank = rank_weighted_euler(table)
     predicted = SymbolicValue(Fraction(-inv.h, inv.w), {}, inv.R)
-    report = VerificationReport(
+    try:
+        ord_, value = dedekind_leading_at_0(inv)
+    except AnalyticSideUnavailable as exc:
+        ord_ = computed = None
+        verdict, caveats = decide((), ok=UNSUPPORTED)
+        caveats.append(str(exc))
+    else:
+        computed = SymbolicValue(Fraction(1), {}, value)
+        delta = abs(value - predicted.numeric())
+        bound = tol * max(1.0, abs(predicted.numeric()))
+        verdict, caveats = decide((
+            (f"ord computed {ord_} != rank predicted {rank}", ord_ == rank),
+            (f"|computed - predicted| = {delta!r} > tol * max(1, |predicted|) = {bound!r}",
+             delta <= bound),
+        ))
+    return VerificationReport(
         object=object_name or f"Spec O_F, disc {inv.disc}",
         invariants=_invariants_dict(inv),
         weil_table=serialize_table(table),
         rank_predicted=rank,
-        ord_computed=None,
+        ord_computed=ord_,
         special_value_predicted=predicted,
-        special_value_computed=None,
-        verdict=UNSUPPORTED,
+        special_value_computed=computed,
+        verdict=verdict,
         tolerances={"value": tol},
+        caveats=caveats,
     )
-    try:
-        report.ord_computed, value = dedekind_leading_at_0(inv)
-    except AnalyticSideUnavailable as exc:
-        report.caveats = [str(exc)]
-        return report
-    report.special_value_computed = SymbolicValue(Fraction(1), {}, value)
-    delta = abs(value - predicted.numeric())
-    bound = tol * max(1.0, abs(predicted.numeric()))
-    ord_ = report.ord_computed
-    if ord_ != rank:
-        report.caveats.append(f"failed: ord computed {ord_} != rank predicted {rank}")
-    if not delta <= bound:
-        report.caveats.append(f"failed: |computed - predicted| = {delta!r} > "
-                              f"tol * max(1, |predicted|) = {bound!r}")
-    report.verdict = FAIL if report.caveats else PASS
-    return report
 
 
 def pn_of_report(inv: NumberFieldInvariants, n: int,
@@ -295,6 +302,8 @@ def pn_of_report(inv: NumberFieldInvariants, n: int,
     caveats = list(table.caveats)
     if weil_tables.UNKNOWN_TORSION_CAVEAT not in caveats:
         caveats.append("analytic determinant unavailable for n >= 1")
+    verdict, failed = decide(
+        (("Soule rank equals the sum of zeta vanishing orders", rank == order),), ok=RANK_ONLY)
     return VerificationReport(
         object=f"P^{n} over O_F, disc {inv.disc}",
         invariants=_invariants_dict(inv),
@@ -303,9 +312,9 @@ def pn_of_report(inv: NumberFieldInvariants, n: int,
         ord_computed=order,
         special_value_predicted=None,
         special_value_computed=None,
-        verdict=RANK_ONLY if rank == order else FAIL,
+        verdict=verdict,
         tolerances={},
-        caveats=caveats,
+        caveats=caveats + failed,
     )
 
 
@@ -313,7 +322,7 @@ def ff_value(c: Fraction, e: int, q: int) -> SymbolicValue:
     """c * (ln q)^e for q = p^k, with k^e folded into the mantissa:
     c * k^e * (ln p)^e."""
     p, k = ff_zeta.prime_power(q)
-    return SymbolicValue(c * Fraction(k) ** e, {p: e} if e else {}, 1.0)
+    return SymbolicValue(c * Fraction(k) ** e, {p: e}, 1.0)
 
 
 def ff_report(variety) -> VerificationReport:
@@ -340,8 +349,7 @@ def ff_report(variety) -> VerificationReport:
         rank, torsion = -1, Fraction(ff_zeta.curve_class_number(zeta), q - 1)
         names = ("vanishing order is -1", "|mantissa| (q-1) = P(1)")
     ord_, lead = ff_zeta.special_value_s0(zeta)
-    checks = (*checks, (names[0], ord_ == rank), (names[1], abs(lead) == torsion))
-    failed = [f"failed: {nm}" for nm, ok in checks if not ok]
+    verdict, failed = decide((*checks, (names[0], ord_ == rank), (names[1], abs(lead) == torsion)))
     return VerificationReport(
         object=name,
         invariants=invariants,
@@ -350,45 +358,35 @@ def ff_report(variety) -> VerificationReport:
         ord_computed=ord_,
         special_value_predicted=ff_value(-torsion if rank % 2 else torsion, rank, q),
         special_value_computed=ff_value(lead, ord_, q),
-        verdict=FAIL if failed else PASS,
+        verdict=verdict,
         tolerances={"value": 0},
         caveats=[*failed, "sign compared up to +-1"],
     )
 
 
+def _minus_fibers(reports, key, minus):
+    """Base minus (by minus) each fiber's key; None unless all have it."""
+    values = [getattr(r, key) for r in reports]
+    return None if None in values else functools.reduce(minus, values)
+
+
 def open_report(base: VerificationReport, fibers) -> VerificationReport:
     """Report for the open complement U of closed fibers Y_i inside X:
     zeta multiplicativity makes orders and ranks subtract, and the
-    special value divide."""
+    special value divide; U's verdict is no stronger than its inputs'."""
     fibers = list(fibers)
     if not fibers:
         return base
-    verdicts = [base.verdict] + [f.verdict for f in fibers]
-    if any(v == UNSUPPORTED for v in verdicts):
-        verdict = UNSUPPORTED
-    elif any(v == FAIL for v in verdicts):
-        verdict = FAIL
-    else:
-        verdict = None  # decided below
-    rank = ord_ = None
-    if base.rank_predicted is not None and all(f.rank_predicted is not None for f in fibers):
-        rank = base.rank_predicted - sum(f.rank_predicted for f in fibers)
-    if base.ord_computed is not None and all(f.ord_computed is not None for f in fibers):
-        ord_ = base.ord_computed - sum(f.ord_computed for f in fibers)
-    value = None
-    if base.special_value_computed is not None and all(
-        f.special_value_computed is not None for f in fibers
-    ):
-        value = base.special_value_computed
-        for f in fibers:
-            value = value / f.special_value_computed
+    reports = [base, *fibers]
+    rank = _minus_fibers(reports, "rank_predicted", operator.sub)
+    ord_ = _minus_fibers(reports, "ord_computed", operator.sub)
+    value = _minus_fibers(reports, "special_value_computed", operator.truediv)
+    if value is not None:
         value.require_finite()
-    if verdict is None:
-        verdict = PASS if (rank is not None and ord_ is not None and rank == ord_) else FAIL
-    caveats = sorted({c for r in [base, *fibers] for c in r.caveats})
-    removed = ", ".join(f.object for f in fibers) or "nothing"
+    verdict, failed = decide((("ord additivity", rank is not None and ord_ == rank),),
+                             inputs=[r.verdict for r in reports])
     return VerificationReport(
-        object=f"{base.object} minus [{removed}]",
+        object=f"{base.object} minus [{', '.join(f.object for f in fibers)}]",
         invariants={},
         weil_table=None,
         rank_predicted=rank,
@@ -397,7 +395,7 @@ def open_report(base: VerificationReport, fibers) -> VerificationReport:
         special_value_computed=value,
         verdict=verdict,
         tolerances={},
-        caveats=caveats,
+        caveats=[*failed, *sorted({c for r in reports for c in r.caveats})],
     )
 
 

@@ -292,6 +292,18 @@ def test_cli_open_pipeline(tmp_path):
     assert payload["rank_predicted"] == 0 and payload["ord_computed"] == 0
 
 
+def test_cli_open_rank_only_base_stays_rank_only(tmp_path):
+    # no value is compared for P^1 over Z[i], so removing a fiber cannot
+    # make the open complement PASS
+    base = tmp_path / "base.json"
+    fiber = tmp_path / "fiber.json"
+    base.write_text(cli("pn-of", "--disc", "-4", "--n", "1", "--json")[1])
+    fiber.write_text(cli("ff", "pn", "--q", "5", "--n", "1", "--json")[1])
+    code, out, err = cli("open", str(base), str(fiber))
+    assert code == 0 and err == ""
+    assert "verdict:           RANK_ONLY" in out.splitlines()
+
+
 def test_cli_open_fail_exit_code(tmp_path):
     base = tmp_path / "base.json"
     bad = tmp_path / "bad.json"

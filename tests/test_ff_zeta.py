@@ -35,6 +35,7 @@ from weilzeta.ff_zeta import (
     _poly_mulmod,
     _poly_trim,
 )
+from weilzeta.reports import SymbolicValue
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ def test_prime_power_exact_roots():
 
 def test_prime_power_refuses_huge_q_in_bounded_time():
     # one Miller-Rabin base costs seconds at 10^4 bits: q >= 2^1024 is
-    # refused before any root or primality test, and the search below
+    # refused before any Miller-Rabin round, and the search below
     # the bound is unchanged
     for huge in (2**1024, 10**4000 + 1, 2**13000):
         start = time.perf_counter()
@@ -245,6 +246,20 @@ def test_prime_power_refuses_huge_q_in_bounded_time():
     assert prime_power(2**1023) == (2, 1023)
     with pytest.raises(ValueError, match="is not a prime power"):
         prime_power(2**1024 - 1)
+
+
+def test_every_prime_input_refuses_huge_numbers_in_bounded_time():
+    # is_prime refuses n >= 2^1024 before any Miller-Rabin base, so a
+    # curve's p, a field's p and a report's log base all end at once
+    for huge in (2**12999 + 1, 10**4000 + 1):  # 13,000 and 13,288 bits
+        value = {"mantissa": "1", "log_exponents": {str(huge): 1}, "real_factor": 1.0}
+        for refuse in (lambda: CurveSpec(huge, (1, 1, 0, 1)),
+                       lambda: make_field(huge, 1),
+                       lambda: SymbolicValue.from_json(value)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="is not supported"):
+                refuse()
+            assert time.perf_counter() - start < 1.0
 
 
 def test_field_multiplication_against_modular_arithmetic():

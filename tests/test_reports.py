@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from weilzeta.reports import (
     UNSUPPORTED,
     SymbolicValue,
     VerificationReport,
+    decide,
     emit_report,
     ff_report,
     ff_value,
@@ -20,7 +22,7 @@ from weilzeta.reports import (
     parse_report,
     pn_of_report,
 )
-from weilzeta import ff_zeta
+from weilzeta import ff_zeta, reports
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.lfunc import dedekind_leading_at_0
 from weilzeta.number_field import quad_invariants
@@ -42,6 +44,10 @@ def test_symbolic_division_cancels_logs():
 
 def test_symbolic_equality_ignores_zero_exponents():
     assert SymbolicValue(Fraction(1), {2: 0}) == SymbolicValue(Fraction(1), {})
+    # (ln p)^0 = 1 is dropped on construction: one normal form
+    assert SymbolicValue(Fraction(1), {2: 0}).log_exponents == {}
+    assert (SymbolicValue(Fraction(1), {2: 1, 3: 2}) / SymbolicValue(Fraction(1), {2: 1})
+            ).log_exponents == {3: 2}
 
 
 def test_ff_value_folds_prime_power_base():
@@ -207,3 +213,60 @@ def test_parse_report_arbitrary_json_is_report_or_value_error():
             emit_report(shown, as_json=True)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule
+
+# weakest first: a verdict is never stronger than any verdict it rests on
+_STRENGTH = (UNSUPPORTED, FAIL, RANK_ONLY, PASS)
+
+
+@pytest.mark.parametrize("ok", [PASS, RANK_ONLY, UNSUPPORTED])
+def test_decide_table(ok):
+    verdicts = (PASS, RANK_ONLY, FAIL, UNSUPPORTED)
+    for k in range(4):
+        for inputs in itertools.product(verdicts, repeat=k):
+            for checks in ((), (("a", True),), (("a", True), ("b", False)),
+                           (("a", False), ("b", False))):
+                failed = [f"failed: {name}" for name, passed in checks if not passed]
+                want = min((*inputs, ok, *[FAIL] * bool(failed)), key=_STRENGTH.index)
+                verdict, caveats = decide(checks, inputs, ok)
+                assert verdict == want, (inputs, checks, ok)
+                assert caveats == (failed if want == FAIL else [])
+
+
+def _with_verdict(report, verdict):
+    copy = parse_report(emit_report(report, as_json=True))
+    copy.verdict = verdict
+    return copy
+
+
+def test_open_report_rank_only_input_gives_rank_only():
+    base = pn_of_report(quad_invariants(-4), 1)
+    fiber = ff_report(ProjectiveSpace(5, 1))
+    u = open_report(base, [fiber])
+    assert u.verdict == RANK_ONLY and u.exit_code == 0
+    assert u.rank_predicted == u.ord_computed == base.rank_predicted + 1
+    # a rank-only fiber demotes a PASS base the same way
+    point = ff_report(ProjectiveSpace(5, 0))
+    u = open_report(fiber, [_with_verdict(point, RANK_ONLY)])
+    assert u.verdict == RANK_ONLY and u.exit_code == 0
+    # FAIL and UNSUPPORTED inputs still win over RANK_ONLY
+    for weaker in (FAIL, UNSUPPORTED):
+        for b, f in ((base, _with_verdict(fiber, weaker)), (_with_verdict(base, weaker), fiber)):
+            assert open_report(b, [f]).verdict == weaker
+
+
+def test_open_report_own_fail_is_named():
+    base = _with_verdict(ff_report(ProjectiveSpace(5, 1)), PASS)
+    base.rank_predicted = None  # ord additivity cannot be checked
+    u = open_report(base, [ff_report(ProjectiveSpace(5, 0))])
+    assert u.verdict == FAIL and u.caveats[0] == "failed: ord additivity"
+
+
+def test_pn_of_report_own_fail_is_named(monkeypatch):
+    monkeypatch.setattr(reports, "pn_of_order", lambda inv, n: -7)
+    report = pn_of_report(quad_invariants(-4), 1)
+    assert report.verdict == FAIL
+    assert report.caveats[-1] == "failed: Soule rank equals the sum of zeta vanishing orders"
