@@ -33,7 +33,6 @@ from .number_field import (
     quad_invariants,
 )
 from .reports import (
-    DEFAULT_TOL,
     emit_report,
     ff_report,
     load_report,
@@ -112,19 +111,23 @@ def parse_k_torsion(path) -> dict:
     return out
 
 
+MAX_VALUE_DIGITS = 4300  # CPython's default int-to-str limit, fixed whatever the environment sets
+
+
 def _require_printable_mantissa(q: int, n: int) -> None:
-    """Refuse P^n over F_q before any work if str() could refuse its
-    mantissa 1/(k prod_{j<=n} (q^j - 1)), q = p^k, whose denominator is
-    below q.bit_length() q^(n(n+1)/2).  Every n > limit fails that bound,
-    and is refused first: its float could overflow."""
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and (n > limit or math.log10(q.bit_length()) + n * (n + 1) / 2 * math.log10(q) >= limit):
+    """Refuse P^n over F_q before any work if its mantissa
+    1/(k prod_{j<=n} (q^j - 1)), q = p^k, could have MAX_VALUE_DIGITS
+    digits: its denominator is below q.bit_length() q^(n(n+1)/2).  Every
+    n > MAX_VALUE_DIGITS fails that bound, and is refused first: its float
+    could overflow."""
+    if n > MAX_VALUE_DIGITS or (math.log10(q.bit_length()) + n * (n + 1) / 2 * math.log10(q)
+                                >= MAX_VALUE_DIGITS):
         raise UsageError(f"the exact special value of P^{n} over F_{q} would exceed "
-                         f"the {limit}-digit limit of sys.get_int_max_str_digits()")
+                         f"the {MAX_VALUE_DIGITS}-digit limit of sys.get_int_max_str_digits()")
 
 
 def _resolve_invariants(args) -> NumberFieldInvariants:
-    if getattr(args, "invariants", None):
+    if args.invariants:
         return load_invariants(args.invariants)
     if args.disc is None:
         raise UsageError("need --disc or --invariants")
@@ -151,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     nr = sub.add_parser("numberring", help="verify a number ring")
     nr.add_argument("--disc", type=int, help="fundamental discriminant (1 for Q)")
     nr.add_argument("--invariants", help="key=value invariants file")
-    nr.add_argument("--tol", type=float, default=DEFAULT_TOL)
     nr.add_argument("--json", action="store_true")
 
     pn = sub.add_parser("pn-of", help="rank identity for P^n over a number ring")
@@ -159,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--invariants", help="key=value invariants file")
     pn.add_argument("--n", type=int, required=True)
     pn.add_argument("--k-torsion", dest="k_torsion", help="K<m>=<order> file")
-    pn.add_argument("--tol", type=float, help="value tolerance, for --n 0 only")
     pn.add_argument("--json", action="store_true")
 
     ff = sub.add_parser("ff", help="finite-field verification")
@@ -187,17 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        tol = getattr(args, "tol", None)
-        if tol is not None and not tol >= 0:  # also rejects NaN
-            raise UsageError(f"--tol must be >= 0, got {tol}")
         if args.command == "numberring":
-            report = numberring_report(_resolve_invariants(args), args.tol)
+            report = numberring_report(_resolve_invariants(args))
         elif args.command == "pn-of":
-            if tol is not None and args.n != 0:
-                raise UsageError("--tol applies only to pn-of --n 0; n >= 1 is rank-only")
             torsion = parse_k_torsion(args.k_torsion) if args.k_torsion else None
-            report = pn_of_report(_resolve_invariants(args), args.n, torsion,
-                                  DEFAULT_TOL if tol is None else tol)
+            report = pn_of_report(_resolve_invariants(args), args.n, torsion)
         elif args.command == "ff":
             if args.ff_kind == "pn":
                 variety = ff_zeta.ProjectiveSpace(args.q, args.n)

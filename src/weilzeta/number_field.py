@@ -236,7 +236,6 @@ def quad_invariants(D: int) -> NumberFieldInvariants:
     )
 
 
-_INT_KEYS = ("r1", "r2", "h", "w")
 _REQUIRED = ("r1", "r2", "h", "R", "w")
 
 

@@ -251,7 +251,7 @@ def decide(checks, inputs=(), ok=PASS):
     return (RANK_ONLY if RANK_ONLY in verdicts else ok), []
 
 
-def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
+def numberring_report(inv: NumberFieldInvariants,
                       object_name: str | None = None) -> VerificationReport:
     """Compare the cohomological prediction (ord = r1+r2-1, -hR/w) with
     the analytic side computed from L-values at s=0."""
@@ -267,7 +267,7 @@ def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
     else:
         computed = SymbolicValue(Fraction(1), {}, value)
         delta = abs(value - predicted.numeric())
-        bound = tol * max(1.0, abs(predicted.numeric()))
+        bound = DEFAULT_TOL * max(1.0, abs(predicted.numeric()))
         verdict, caveats = decide((
             (f"ord computed {ord_} != rank predicted {rank}", ord_ == rank),
             (f"|computed - predicted| = {delta!r} > tol * max(1, |predicted|) = {bound!r}",
@@ -282,20 +282,19 @@ def numberring_report(inv: NumberFieldInvariants, tol: float = DEFAULT_TOL,
         special_value_predicted=predicted,
         special_value_computed=computed,
         verdict=verdict,
-        tolerances={"value": tol},
+        tolerances={"value": DEFAULT_TOL},
         caveats=caveats,
     )
 
 
 def pn_of_report(inv: NumberFieldInvariants, n: int,
-                 k_torsion: dict | None = None,
-                 tol: float = DEFAULT_TOL) -> VerificationReport:
+                 k_torsion: dict | None = None) -> VerificationReport:
     """Rank identity for P^n over a number ring: the motivic alternating
     sum must equal the sum of zeta vanishing orders.  The determinant
     side needs K-theory torsion plus zeta values off s=0 and is reported
     rank-only."""
     if n == 0:
-        return numberring_report(inv, tol, object_name=f"P^0 over O_F, disc {inv.disc}")
+        return numberring_report(inv, object_name=f"P^0 over O_F, disc {inv.disc}")
     table = weil_tables.pn_of_table(inv, n, k_torsion)
     rank = soule_rank(inv, n)
     order = pn_of_order(inv, n)

@@ -25,6 +25,7 @@ from weilzeta.reports import (
     pn_of_report,
     poly_to_str,
 )
+from weilzeta.weil_tables import MAX_PN_OF_N
 
 
 def cli(*argv):
@@ -385,12 +386,14 @@ def test_cli_argparse_errors_are_usage_errors(capsys, argv, message):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_cli_parser_reuse_keeps_no_state():
+def test_cli_parser_reuse_keeps_no_state(tmp_path):
     # build_parser is cached, so one parser serves every call in a process;
     # no flag, default or error may carry over from one call to the next
+    inv = tmp_path / "inv.txt"
+    inv.write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\ndisc=-23\n")
     argvs = [
         ["numberring", "--disc", "5", "--json"],
-        ["numberring", "--disc", "5", "--tol", "0.5"],
+        ["numberring", "--invariants", str(inv)],
         ["pn-of", "--disc", "5", "--n", "1"],
         ["pn-of", "--disc", "5", "--n", "0"],
         ["pn-of", "--disc", "5"],
@@ -405,9 +408,9 @@ def test_cli_parser_reuse_keeps_no_state():
         fresh.append(cli(*argv))
     assert reused == fresh
     assert reused[0][1].startswith("{") and reused[1][1].startswith("object:")
-    assert "tolerances:        value=0.5\n" in reused[1][1]
+    assert "object:            Spec O_F, disc -23\n" in reused[1][1]
     for i in (3, 6):
-        assert "tolerances:        value=1e-08\n" in reused[i][1]  # the default, not 0.5
+        assert "disc 5\n" in reused[i][1]  # --disc, not the file of call 1
     assert reused[4][0] == 1 and "required: --n" in reused[4][2]
     assert reused[5][0] == 0 and reused[5][2] == ""
 
@@ -436,29 +439,28 @@ def test_cli_numberring_fail_states_why(tmp_path, monkeypatch):
     assert report.caveats[0] == "failed: ord computed 1 != rank predicted 0"
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
-def test_cli_rejects_bad_tol(capsys, tol):
-    for argv in (["numberring", "--disc", "-4"], ["pn-of", "--disc", "5", "--n", "1"]):
-        assert run([*argv, "--tol", tol]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: --tol must be >= 0, got {float(tol)}\n"
+@pytest.mark.parametrize("verb", [["numberring"], ["pn-of", "--n", "0"]], ids=["numberring", "pn-of"])
+def test_cli_tol_cannot_turn_fail_into_pass(tmp_path, verb):
+    # h = 2 for disc -23 is wrong (h = 3): no flag may turn its FAIL into PASS
+    path = tmp_path / "inv.txt"
+    path.write_text("r1=0\nr2=1\nh=2\nR=1\nw=2\ndisc=-23\n")
+    argv = [*verb, "--invariants", str(path)]
+    code, out, err = cli(*argv)
+    assert code == 2 and err == "" and out.endswith("verdict:           FAIL\n")
+    for tol in ("1", "inf"):
+        code, out, err = cli(*argv, "--tol", tol)
+        assert (code, out) == (1, "") and err.startswith("error: weilzeta: unrecognized arguments: --tol")
+        assert len(err.splitlines()) == 1
 
 
 def test_cli_suite_has_no_tol(capsys):
-    # criterion 1 always runs at DEFAULT_TOL: suite takes no --tol
-    assert run(["suite", "--tol", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: weilzeta: unrecognized arguments: --tol 1\n"
-
-
-def test_cli_pn_of_tol_needs_n_zero(capsys):
-    # n >= 1 is rank-only: no value is compared, so a tolerance is refused
-    assert run(["pn-of", "--disc", "5", "--n", "1", "--tol", "0.5"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: --tol applies only to pn-of --n 0")
-    assert len(err.splitlines()) == 1
-    assert run(["pn-of", "--disc", "5", "--n", "0", "--tol", "0.5"]) == 0
-    assert "tolerances:        value=0.5\n" in capsys.readouterr().out
+    # every value check runs at DEFAULT_TOL: no verb takes --tol
+    for verb in (["numberring", "--disc", "5"], ["pn-of", "--disc", "5", "--n", "0"],
+                 ["ff", "pn", "--q", "3", "--n", "1"], ["ff", "curve", "--p", "7", "--f", "x^3+x+1"],
+                 ["open", "base.json"], ["suite"]):
+        assert run([*verb, "--tol", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: weilzeta: unrecognized arguments: --tol 1\n"
 
 
 @pytest.mark.parametrize(
@@ -474,6 +476,20 @@ def test_cli_disc_above_bound_is_refused(argv):
     assert code == 1 and out == "" and err.startswith("error: ")
     assert f"exceeds the supported bound MAX_ABS_DISC = {MAX_ABS_DISC}\n" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [MAX_PN_OF_N + 1, 10**30], ids=["bound-plus-1", "huge-n"])
+def test_cli_pn_of_n_above_bound_is_refused(n):
+    # refused before pn_of_table builds its 2n + 3 entries
+    start = time.perf_counter()
+    code, out, err = cli("pn-of", "--disc", "5", "--n", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"error: n must be in 0..{MAX_PN_OF_N}, got {n}\n")
+
+
+def test_cli_pn_of_n6_is_rank_only():
+    code, out, err = cli("pn-of", "--disc", "5", "--n", "6")
+    assert code == 0 and err == "" and out.endswith("verdict:           RANK_ONLY\n")
 
 
 def test_cli_ff_curve_huge_exponent_is_refused():
@@ -496,6 +512,18 @@ def test_cli_ff_pn_unprintable_value_is_refused(q, n):
     code, out, err = cli("ff", "pn", "--q", str(q), "--n", str(n))
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith(f"error: the exact special value of P^{n} ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_ff_pn_bound_ignores_the_environment():
+    # the bound is a constant: lifting str()'s digit limit does not lift it
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = cli("ff", "pn", "--q", "3", "--n", "134")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1 and out == "" and err.startswith("error: the exact special value of P^134 ")
     assert len(err.splitlines()) == 1
 
 
@@ -600,8 +628,8 @@ def test_cli_fuzz_verbs_and_flags(tmp_path, capsys):
     }
     values = {flag: v.map(str) for flag, v in values.items()}
     grammar = {  # verb: (its required flags, its optional flags)
-        ("numberring",): (("--disc",), ("--invariants", "--tol")),
-        ("pn-of",): (("--disc", "--n"), ("--invariants", "--k-torsion", "--tol")),
+        ("numberring",): (("--disc",), ("--invariants",)),
+        ("pn-of",): (("--disc", "--n"), ("--invariants", "--k-torsion")),
         ("ff", "pn"): (("--q", "--n"), ()),
         ("ff", "curve"): (("--p", "--f"), ()),
         ("open",): ((), ()),
@@ -633,5 +661,7 @@ def test_cli_fuzz_verbs_and_flags(tmp_path, capsys):
         _, err = capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
         assert len(err.splitlines()) <= 1, (argv, err)
+        if "--tol" in argv:  # no verb takes it, so it is a usage error
+            assert code == 1 and len(err.splitlines()) == 1, (argv, err)
 
     check()
