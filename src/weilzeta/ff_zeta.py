@@ -30,9 +30,10 @@ from math import comb
 import numpy as np
 
 SIZE_BOUND = 2**20
-# log 0 in FiniteField.zech: each Horner step of count_points takes less
-# than SIZE_BOUND off it, so for deg f <= 7 it stays above 2 SIZE_BOUND,
-# beyond every log and every index into zech
+# log 0 in FiniteField.zech: a Horner step of count_points adds less than
+# n = q - 1 < SIZE_BOUND to it and takes n off, so it loses less than n
+# per step; for deg f <= 7 it stays above 2^29 > n, beyond every log, and
+# it never wraps in uint32
 _ZERO_LOG = 2**30
 COUNT_BOUND = 2**16  # verify_ff reproduces every N_m with q^m <= this
 # is_prime refuses n >= 2^this: one Miller-Rabin base costs seconds at
@@ -191,13 +192,14 @@ class FiniteField:
     (ascending), so a prime-field constant c is the integer c.  The int32
     tables are over g, the smallest encoded element of order n = q-1:
 
-    - ``log[a]`` is the i in [0, n) with g^i = a, and ``log[0]`` is 2n;
-    - ``zech`` has length 2n+1 and holds the Zech logarithm
-      Z(j) = log(1 + g^j) at j and at j + n for 0 <= j < n, so
-      g^i + g^l = g^(l + zech[i - l + n]) for i, l in [0, n) with no
-      reduction mod n.  Where 1 + g^j = 0 (j = n/2, or j = 0 for p = 2)
-      it holds _ZERO_LOG, above every log, and at 2n it holds 0: a zero
-      accumulator is clamped onto that slot, since 0 + g^l = g^l;
+    - ``log[c]`` for the p constants c of F_p is the i in [0, n) with
+      g^i = c, and ``log[0]`` is 2n; counts read only logs of
+      coefficients, so the logs of the rest of F_q are not kept;
+    - ``zech`` has length n+1 and holds the Zech logarithm
+      Z(j) = log(1 + g^j) for 0 <= j < n, so g^i + g^l = g^(l + Z(i - l))
+      with i - l reduced mod n.  Where 1 + g^j = 0 (j = log(-1): n/2, or
+      0 for p = 2) it holds _ZERO_LOG, above every log, and at n it holds
+      0: a zero accumulator is clipped onto that slot, since 0 + g^l = g^l;
     - ``reps`` holds the smallest exponent of each orbit of
       i -> p i mod (q-1) on 0..q-2 (the orbits of x -> x^p on F_q^*),
       ascending, and ``sizes`` (int8) each orbit's size, a divisor of k.
@@ -217,7 +219,8 @@ class FiniteField:
 
 
 def _log_tables(p: int, k: int, modulus):
-    """(log, zech) of F_{p^k} as described in FiniteField."""
+    """(log, zech) of F_{p^k} as described in FiniteField, with log over
+    all q elements; make_field keeps its first p entries."""
     q = p**k
     n = q - 1
     cofactors = [n // l for l in _prime_factors(n)]
@@ -246,10 +249,9 @@ def _log_tables(p: int, k: int, modulus):
     # 1 + g^j adds 1 to base-p digit 0, with no carry
     exp += 1
     exp[digits[:, 0] == p - 1] -= p
-    zech = np.zeros(2 * n + 1, dtype=np.int32)
+    zech = np.zeros(n + 1, dtype=np.int32)
     zech[:n] = log[exp]
     zech[log[p - 1]] = _ZERO_LOG  # 1 + g^j = 0 where g^j = -1
-    zech[n:2 * n] = zech[:n]
     return log, zech
 
 
@@ -288,7 +290,9 @@ def make_field(p: int, k: int) -> FiniteField:
         modulus = [(idx // p**j) % p for j in range(k)] + [1]
         if _is_irreducible(modulus, p):
             break
-    tables = (*_log_tables(p, k, modulus), *_frobenius_orbits(p, k))
+    log, zech = _log_tables(p, k, modulus)
+    log = log[:p].copy()  # drops the q-entry table before the orbits
+    tables = (log, zech, *_frobenius_orbits(p, k))
     for table in tables:  # the cached record is shared by every caller
         table.flags.writeable = False
     field = FiniteField(p, k, tuple(modulus), *tables)
@@ -354,8 +358,9 @@ def count_points(variety, m: int = 1) -> int:
     """N_m = q^m + 1 + sum_{x in F_{q^m}} chi(f(x)) for a curve
     y^2 = f(x), subject to q^m <= 2^20: y^2 = v has 1 + chi(v) roots,
     and deg f is odd, so there is one point at infinity.  f is evaluated
-    in int64 residues for m = 1, and once per Frobenius orbit on the
-    field's Zech table for m >= 2.
+    in int64 residues for m = 1, reduced mod p only where the next
+    multiply-add could pass 2^63, and for m >= 2 once per Frobenius orbit
+    on the field's Zech table, in uint32 logs updated in place.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -368,30 +373,50 @@ def count_points(variety, m: int = 1) -> int:
     if m == 1:
         x = np.arange(p, dtype=np.int64)
         acc = np.full(p, f[-1], dtype=np.int64)
+        top = f[-1]  # the largest value acc can hold
         for c in reversed(f[:-1]):
+            if top * (p - 1) + c >= 2**63:
+                acc %= p
+                top = p - 1
             acc *= x
             if c:
                 acc += c
-            acc %= p
+            top = top * (p - 1) + c
+        acc %= p
         return p + 1 + int(legendre(p)[acc].sum())
     field = make_field(p, m)
-    log, zech, reps = field.log, field.zech, field.reps
-    n = np.int32(field.q - 1)  # so that n * (L >= n) stays int32
-    # L is log acc at x = g^reps, in [0, n), or >= n where acc = 0: zech
-    # sends 1 + g^j = 0 to _ZERO_LOG, and np.minimum sends the index of a
-    # zero acc to zech[2n] = 0
-    L = np.full(len(reps), log[f[-1]], dtype=np.int32)
+    log, zech, reps = field.log, field.zech.view(np.uint32), field.reps.view(np.uint32)
+    n = np.uint32(field.q - 1)
+    # L is log acc at x = g^reps: in [0, n), or above 2^29 where acc = 0
+    # (see _ZERO_LOG).  On uint32, v - n wraps above every log for v < n,
+    # so reduce takes v in [0, 2n) into [0, n); the index of a zero acc
+    # stays above n and clips onto zech[n] = 0, since 0 + c = c.  L and
+    # tmp are the only buffers, and take never writes into its own index
+    # array.
+    def reduce(v, scratch):
+        np.subtract(v, n, out=scratch)
+        np.minimum(v, scratch, out=v)
+
+    L = np.full(len(reps), log[f[-1]], dtype=np.uint32)
+    tmp = np.empty_like(L)
     for c in reversed(f[:-1]):
-        L += reps
-        L -= n * (L >= n)
+        np.add(L, reps, out=L)
+        reduce(L, tmp)
         if c:
-            l = int(log[c])
-            L = zech[np.minimum(L + (n - l), 2 * n)] + l
-            L -= n * (L >= n)
-    # the orbits cover x != 0; x = 0 gives f(0)
-    chi = np.where(L < n, 1 - 2 * (L & 1), 0)
+            l = np.uint32(log[c])
+            np.add(L, n - l, out=tmp)
+            reduce(tmp, L)
+            np.take(zech, tmp, mode="clip", out=L)
+            np.add(L, l, out=L)
+            reduce(L, tmp)
+    # chi = (-1)^L, 0 where acc = 0; the orbits cover x != 0, and x = 0
+    # gives f(0)
+    np.bitwise_and(L, 1, out=tmp)
+    chi = 1 - 2 * tmp.astype(np.int8)
+    chi[L >= n] = 0
     chi0 = 1 - 2 * int(log[f[0]] & 1) if f[0] else 0
-    return field.q + 1 + int(field.sizes @ chi) + chi0
+    # |size * chi| <= k fits int8; the sum over the orbits does not
+    return field.q + 1 + int((field.sizes * chi).sum(dtype=np.int64)) + chi0
 
 
 # ---------------------------------------------------------------------------

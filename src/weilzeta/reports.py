@@ -292,10 +292,11 @@ def pn_of_report(inv: NumberFieldInvariants, n: int,
     """Rank identity for P^n over a number ring: the motivic alternating
     sum must equal the sum of zeta vanishing orders.  The determinant
     side needs K-theory torsion plus zeta values off s=0 and is reported
-    rank-only."""
+    rank-only.  The table checks n and the K-torsion indices first, so
+    for n = 0 every index is refused."""
+    table = weil_tables.pn_of_table(inv, n, k_torsion)
     if n == 0:
         return numberring_report(inv, object_name=f"P^0 over O_F, disc {inv.disc}")
-    table = weil_tables.pn_of_table(inv, n, k_torsion)
     rank = soule_rank(inv, n)
     order = pn_of_order(inv, n)
     caveats = list(table.caveats)

@@ -557,6 +557,19 @@ def test_cli_bad_k_torsion_and_invariants_files(tmp_path):
         path.write_text(text)
         code, out, err = cli("pn-of", "--disc", "5", "--n", "1", "--k-torsion", str(path))
         assert code == 1 and out == "" and err == f"error: {path}{message}\n"
+    # n = 0 has no K-torsion index in range: a file n = 1 refuses is
+    # refused at n = 0 too, and an empty file still gives PASS
+    path.write_text("K9=5\n")
+    for n in (0, 1):
+        code, out, err = cli("pn-of", "--disc", "5", "--n", str(n), "--k-torsion", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: k-torsion indices out of range for n={n}: [9]\n"
+    path.write_text("K2=24\n")
+    code, out, err = cli("pn-of", "--disc", "5", "--n", "0", "--k-torsion", str(path))
+    assert (code, out) == (1, "") and err == "error: k-torsion indices out of range for n=0: [2]\n"
+    path.write_text("")
+    code, out, err = cli("pn-of", "--disc", "5", "--n", "0", "--k-torsion", str(path))
+    assert code == 0 and err == "" and "verdict:           PASS" in out
     path = tmp_path / "inv.txt"
     path.write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\nh=1\ndisc=-23\n")
     for verb in (("numberring",), ("pn-of", "--n", "1")):

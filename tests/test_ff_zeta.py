@@ -32,6 +32,7 @@ from weilzeta.ff_zeta import (
     verify_ff,
     zeta_curve,
     zeta_pn,
+    _log_tables,
     _poly_mulmod,
     _poly_trim,
 )
@@ -76,15 +77,24 @@ def affine_count_oracle(f, p):
     return total
 
 
-def exp_table(field):
-    """The inverse of field.log, laid out as g^i at i and at i + q-1 for
-    0 <= i < q-1, then q-1 zeros, so exp[log a + i] = a g^i for every a,
-    0 included (log 0 = 2(q-1)).  A slot no log points at stays 0."""
-    n = field.q - 1
+def exp_table(log):
+    """The inverse of a log table over all of F_q (log 0 = 2(q-1)), laid
+    out as g^i at i and at i + q-1 for 0 <= i < q-1, then q-1 zeros, so
+    exp[log a + i] = a g^i for every a, 0 included.  A slot no log points
+    at stays 0."""
+    q = len(log)
+    n = q - 1
     exp = np.zeros(3 * n, dtype=np.int64)
-    exp[field.log[1:]] = np.arange(1, field.q)
+    exp[log[1:]] = np.arange(1, q)
     exp[n : 2 * n] = exp[:n]
     return exp
+
+
+def full_log(field):
+    """The q-entry log of F_q that make_field builds and then cuts down
+    to the p logs of F_p."""
+    log, _ = _log_tables(field.p, field.k, list(field.modulus))
+    return log
 
 
 def prime_sieve(n):
@@ -263,10 +273,12 @@ def test_every_prime_input_refuses_huge_numbers_in_bounded_time():
 
 
 def test_field_multiplication_against_modular_arithmetic():
-    # exp[log a + log b] = a b, against polynomial products mod the modulus
+    # exp[log a + log b] = a b over the full log, against polynomial
+    # products mod the modulus
     for p, k in ((3, 2), (5, 2), (3, 3)):
         field = make_field(p, k)
-        log, exp = field.log, exp_table(field)
+        log = full_log(field)
+        exp = exp_table(log)
 
         def decode(code):
             return [(code // p**j) % p for j in range(k)]
@@ -279,44 +291,52 @@ def test_field_multiplication_against_modular_arithmetic():
 
 
 def test_zech_table_against_modular_arithmetic():
-    # g^zech[j] = 1 + g^j in polynomial arithmetic mod the modulus, with
-    # the sentinel exactly where 1 + g^j = 0 and 0 in the last slot
-    for p, k in ((3, 2), (5, 2), (3, 3), (7, 2), (2, 4)):
+    # g^zech[j] = 1 + g^j in polynomial arithmetic mod the modulus for
+    # every 0 <= j < n, with the sentinel once, exactly where 1 + g^j = 0
+    # (j = log(-1)), and 0 in the last slot n
+    for p, k in ((3, 2), (5, 2), (3, 3), (7, 2), (2, 4), (3, 1), (7, 1)):
         field = make_field(p, k)
         n = field.q - 1
-        zech = field.zech
-        g = [(int(exp_table(field)[1]) // p**j) % p for j in range(k)]
+        zech, log = field.zech, full_log(field)
+        g = [(int(exp_table(log)[1]) // p**j) % p for j in range(k)]
         powers = [[1]]
         for _ in range(n - 1):
             powers.append(_poly_mulmod(powers[-1], g, field.modulus, p))
-        assert len(zech) == 2 * n + 1 and zech[2 * n] == 0
+        assert len(zech) == n + 1 and zech[n] == 0
         for j in range(n):
             one_plus = (powers[j] + [0] * k)[:k]
             one_plus[0] = (one_plus[0] + 1) % p
-            assert zech[j] == zech[j + n]
             if not any(one_plus):
                 assert zech[j] == ff_zeta._ZERO_LOG and j == (0 if p == 2 else n // 2)
             else:
                 assert 0 <= zech[j] < n and _poly_trim(one_plus) == powers[zech[j]]
-        assert np.count_nonzero(zech == ff_zeta._ZERO_LOG) == 2 and ff_zeta._ZERO_LOG >= 2 * n
+        assert np.flatnonzero(zech == ff_zeta._ZERO_LOG).tolist() == [log[p - 1]]
         with pytest.raises(ValueError, match="read-only"):
             zech[0] = 0
+    # count_points takes less than n < SIZE_BOUND off the sentinel per
+    # Horner step, at most 7 steps for deg f <= 7, and adds less than 2n
+    bound = ff_zeta.SIZE_BOUND
+    assert ff_zeta._ZERO_LOG - 7 * bound > 2**29 > bound
+    assert ff_zeta._ZERO_LOG + 2 * bound < 2**32
 
 
 def test_log_exp_tables_and_root_counts():
-    # log is a bijection F_q^* -> [0, q-2] with inverse exp, g has order
-    # q - 1, zech repeats with period q - 1 before its zero slot, and the
-    # root counts 1 (v = 0), 2 (log v even), 0 (log v odd) sum to q
+    # the full log is a bijection F_q^* -> [0, q-2] with inverse exp, g
+    # has order q - 1, the field keeps its first p entries (the logs of
+    # F_p) and a zech table of length q, and the root counts 1 (v = 0),
+    # 2 (log v even), 0 (log v odd) sum to q
     for p, k in ((3, 1), (3, 2), (5, 1), (7, 2), (3, 5)):
         field = make_field(p, k)
         q = field.q
-        log, zech, exp = field.log, field.zech, exp_table(field)
-        assert log.dtype == zech.dtype == "int32" and len(zech) == 2 * (q - 1) + 1
+        log, zech = full_log(field), field.zech
+        exp = exp_table(log)
+        assert log.dtype == field.log.dtype == zech.dtype == "int32"
+        assert len(log) == q and len(field.log) == p and len(zech) == q
+        assert (field.log == log[:p]).all()
         assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
         assert (exp[log[1:]] == list(range(1, q))).all()
         assert (log[exp[: q - 1]] == list(range(q - 1))).all()
-        assert (zech[q - 1 : 2 * (q - 1)] == zech[: q - 1]).all() and zech[2 * (q - 1)] == 0
-        assert exp[0] == 1 and log[0] == 2 * (q - 1)
+        assert exp[0] == 1 and log[0] == 2 * (q - 1) and zech[q - 1] == 0
         roots = [1] + [2 if log[v] % 2 == 0 else 0 for v in range(1, q)]
         assert sum(roots) == q
 
@@ -339,8 +359,9 @@ def test_frobenius_orbits_partition():
 def test_primitive_element_is_smallest():
     for p, k in ((3, 2), (5, 2), (7, 1), (11, 1), (3, 3), (2, 1), (2, 4)):
         field = make_field(p, k)
-        log = field.log
-        g = int(exp_table(field)[1])
+        log = full_log(field)
+        g = int(exp_table(log)[1])
+        assert (field.log == log[:p]).all()
         # g^j has order q - 1 iff gcd(j, q - 1) = 1: no smaller element does
         assert all(gcd(int(log[a]), field.q - 1) > 1 for a in range(1, g))
         assert gcd(int(log[g]), field.q - 1) == 1
@@ -390,6 +411,23 @@ def test_count_points_extension_against_oracle():
         assert checked >= 5
 
 
+def test_count_points_zero_accumulator_against_oracle():
+    # f = x^7 + a x^6 + 1: Horner's accumulator x + a is 0 at x = -a, and
+    # five zero coefficients follow, so the sentinel log of 0 runs through
+    # five reductions before the constant 1 clips it onto zech[n] = 0
+    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (3, 6)):
+        mod = make_field(p, m).modulus
+        checked = 0
+        for a in range(1, p):
+            try:
+                c = CurveSpec(p, (1, 0, 0, 0, 0, 0, a, 1))
+            except SingularCurveError:
+                continue
+            assert count_points(c, m) == ext_affine_count_oracle(c.f, p, mod) + 1
+            checked += 1
+        assert checked >= 1
+
+
 def test_count_points_extension_consistency():
     # N_m computed by the field machinery must match the zeta prediction
     c = CurveSpec(3, (0, 1, 0, 1))
@@ -402,7 +440,7 @@ def test_prime_field_count_matches_log_tables():
     # F_{p^m}: x = g^i, and y^2 = v has 2 roots if log v is even
     for p in (1009, 65537, 1048573):
         field = make_field(p, 1)
-        log, exp = field.log, exp_table(field)
+        log, exp = field.log, exp_table(field.log)  # for k = 1, log covers F_q
         i = np.arange(p - 1)
         for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (0, 5, 0, 1, 0, 0, 0, 2)):
             acc = np.full(p - 1, f[-1])
