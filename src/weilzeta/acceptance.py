@@ -58,13 +58,14 @@ def check_pn_over_fq():
     bad = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(4):
-            report = ff_report(ff_zeta.ProjectiveSpace(q, n))
+            space = ff_zeta.ProjectiveSpace(q, n)
+            report = ff_report(space)
             rho_ok = report.ord_computed == report.rank_predicted == -1
             expected = Fraction(1)
             for j in range(1, n + 1):
                 expected /= q**j - 1
             # |c| (ln q)^-1 with c = 1 / prod (q^j - 1), as the report folds it
-            want, computed = ff_value(expected, -1, q), report.special_value_computed
+            want, computed = ff_value(expected, -1, space), report.special_value_computed
             c_ok = (report.verdict == PASS and abs(computed.mantissa) == want.mantissa
                     and computed.log_exponents == want.log_exponents)
             if not (rho_ok and c_ok):

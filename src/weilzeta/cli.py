@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 
@@ -111,21 +110,6 @@ def parse_k_torsion(path) -> dict:
     return out
 
 
-MAX_VALUE_DIGITS = 4300  # CPython's default int-to-str limit, fixed whatever the environment sets
-
-
-def _require_printable_mantissa(q: int, n: int) -> None:
-    """Refuse P^n over F_q before any work if its mantissa
-    1/(k prod_{j<=n} (q^j - 1)), q = p^k, could have MAX_VALUE_DIGITS
-    digits: its denominator is below q.bit_length() q^(n(n+1)/2).  Every
-    n > MAX_VALUE_DIGITS fails that bound, and is refused first: its float
-    could overflow."""
-    if n > MAX_VALUE_DIGITS or (math.log10(q.bit_length()) + n * (n + 1) / 2 * math.log10(q)
-                                >= MAX_VALUE_DIGITS):
-        raise UsageError(f"the exact special value of P^{n} over F_{q} would exceed "
-                         f"the {MAX_VALUE_DIGITS}-digit limit of sys.get_int_max_str_digits()")
-
-
 def _resolve_invariants(args) -> NumberFieldInvariants:
     if args.invariants:
         return load_invariants(args.invariants)
@@ -196,11 +180,9 @@ def run(argv=None) -> int:
         elif args.command == "ff":
             if args.ff_kind == "pn":
                 variety = ff_zeta.ProjectiveSpace(args.q, args.n)
-                _require_printable_mantissa(args.q, args.n)
-                report = ff_report(variety)
             else:
-                curve = ff_zeta.CurveSpec(args.p, parse_poly(args.f))
-                report = ff_report(curve)
+                variety = ff_zeta.CurveSpec(args.p, parse_poly(args.f))
+            report = ff_report(variety)
         elif args.command == "open":
             base = load_report(args.base)
             fibers = [load_report(f) for f in args.fibers]

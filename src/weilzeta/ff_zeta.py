@@ -23,9 +23,9 @@ counts that Newton's identities read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 import numpy as np
 
@@ -41,6 +41,7 @@ COUNT_BOUND = 2**16  # verify_ff reproduces every N_m with q^m <= this
 PRIME_POWER_BITS = 1024
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_VALUE_DIGITS = 4300  # CPython's default int-to-str limit, fixed whatever the environment sets
 
 
 class SizeBoundExceeded(ValueError):
@@ -100,17 +101,17 @@ def prime_power(q: int):
     raise ValueError(f"{q} is not a prime power")
 
 
-def _prime_factors(n: int) -> list:
-    """Distinct prime factors of n >= 1 by trial division."""
-    out, f = [], 2
+def factorize(n: int) -> dict:
+    """{p: e} with n = prod p^e for n >= 1, primes ascending, by trial
+    division."""
+    out, f = {}, 2
     while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
         f += 1
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
 
 
@@ -176,7 +177,7 @@ def _is_irreducible(f, p: int) -> bool:
     # both sides come back trimmed
     if _poly_powmod([0, 1], p**k, f, p) != _poly_mulmod([0, 1], [1], f, p):
         return False
-    for l in _prime_factors(k):
+    for l in factorize(k):
         g = _poly_powmod([0, 1], p ** (k // l), f, p) + [0, 0]
         g[1] = (g[1] - 1) % p  # x^(p^(k/l)) - x
         if len(_poly_gcd(g, f, p)) > 1:
@@ -223,7 +224,7 @@ def _log_tables(p: int, k: int, modulus):
     all q elements; make_field keeps its first p entries."""
     q = p**k
     n = q - 1
-    cofactors = [n // l for l in _prime_factors(n)]
+    cofactors = [n // l for l in factorize(n)]
     # g: the smallest code of order n; for k >= 2 the codes below p are
     # F_p^*, of order dividing p - 1 < n
     for code in range(1 if k == 1 else p, q):
@@ -314,13 +315,28 @@ def legendre(p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectiveSpace:
+    """P^n over F_q, q = p^k, with p and k read off q once.  Refused if
+    the exact mantissa 1/(k prod_{j<=n} (q^j - 1)) of its special value
+    could have MAX_VALUE_DIGITS digits: its denominator is below
+    q.bit_length() q^(n(n+1)/2).  Every n > MAX_VALUE_DIGITS fails that
+    bound, and is refused first: its float could overflow."""
+
     q: int
     n: int
+    p: int = field(init=False, repr=False)
+    k: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        prime_power(self.q)
-        if self.n < 0:
+        q, n = self.q, self.n
+        p, k = prime_power(q)
+        if n < 0:
             raise ValueError("n must be >= 0")
+        if n > MAX_VALUE_DIGITS or (log10(q.bit_length()) + n * (n + 1) / 2 * log10(q)
+                                    >= MAX_VALUE_DIGITS):
+            raise ValueError(f"the exact special value of P^{n} over F_{q} would exceed "
+                             f"the {MAX_VALUE_DIGITS}-digit limit of sys.get_int_max_str_digits()")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -330,6 +346,7 @@ class CurveSpec:
 
     p: int
     f: tuple  # integer coefficients, ascending
+    k = 1  # q = p^k, as for ProjectiveSpace
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p == 2:
@@ -456,10 +473,9 @@ def expected_counts(zeta: ZetaRational, terms: int):
     return counts
 
 
-def zeta_pn(q: int, n: int) -> ZetaRational:
+def zeta_pn(space: ProjectiveSpace) -> ZetaRational:
     """Z(P^n_{F_q}, t) = prod_{j=0}^{n} (1 - q^j t)^(-1)."""
-    ProjectiveSpace(q, n)  # validates
-    return ZetaRational((), tuple((1, -(q**j)) for j in range(n + 1)), q)
+    return ZetaRational((), tuple((1, -(space.q**j)) for j in range(space.n + 1)), space.q)
 
 
 def zeta_curve(curve: CurveSpec, counts=None) -> ZetaRational:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ff_zeta import _prime_factors, legendre
+from .ff_zeta import factorize, legendre
 from .number_field import MAX_ABS_DISC, NumberFieldInvariants, is_fundamental, InvariantsError
 
 # characters of the prime discriminants -4, 8 and -8 on one period
@@ -38,7 +38,7 @@ def character_table(D: int) -> np.ndarray:
         raise InvariantsError(f"D={D} is not a fundamental discriminant with |D| > 1")
     m, two_adic = abs(D), D
     chi = np.ones(m, dtype=np.int8)
-    for p in _prime_factors(m):
+    for p in factorize(m):
         if p == 2:
             continue
         two_adic //= p if p % 4 == 1 else -p

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .ff_zeta import factorize
+
 
 class InvariantsError(ValueError):
     """Bad input to an invariants computation or an invariants file."""
@@ -65,12 +67,10 @@ def squarefree_part(d: int) -> int:
     """Largest squarefree m with d = m * (square)."""
     if d == 0:
         raise InvariantsError("0 has no squarefree part")
-    m = d
-    f = 2
-    while f * f <= abs(m):
-        while m % (f * f) == 0:
-            m //= f * f
-        f += 1
+    m = -1 if d < 0 else 1
+    for p, e in factorize(abs(d)).items():
+        if e % 2:
+            m *= p
     return m
 
 

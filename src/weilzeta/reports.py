@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import ff_zeta, weil_tables
@@ -35,7 +35,8 @@ DEFAULT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SymbolicValue:
-    """mantissa * prod_p (ln p)^e_p * real_factor."""
+    """mantissa * prod_p (ln p)^e_p * real_factor, refused on
+    construction unless numeric() is a finite float."""
 
     mantissa: Fraction
     log_exponents: dict = field(default_factory=dict)
@@ -45,20 +46,17 @@ class SymbolicValue:
         # (ln p)^0 = 1: one normal form, so equality is field equality
         if 0 in self.log_exponents.values():
             object.__setattr__(self, "log_exponents", {p: e for p, e in self.log_exponents.items() if e})
+        try:
+            finite = math.isfinite(self.numeric())
+        except OverflowError:
+            finite = False
+        _require(finite, "special value is not a finite float")
 
     def numeric(self) -> float:
         out = float(self.mantissa) * self.real_factor
         for p, e in self.log_exponents.items():
             out *= math.log(p) ** e
         return out
-
-    def require_finite(self) -> None:
-        """ValueError unless numeric() is a finite float."""
-        try:
-            finite = math.isfinite(self.numeric())
-        except OverflowError:
-            finite = False
-        _require(finite, "special value is not a finite float")
 
     def __truediv__(self, other: "SymbolicValue") -> "SymbolicValue":
         exps = dict(self.log_exponents)
@@ -91,7 +89,6 @@ class SymbolicValue:
             _require((_is_int(real) or isinstance(real, float)) and math.isfinite(real) and real != 0,
                      "special value real_factor must be a finite nonzero number")
             value = cls(Fraction(mantissa), exps, float(real))
-            value.require_finite()
         except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
             raise ValueError(f"malformed special value: {exc!r}") from None
         return value
@@ -147,11 +144,7 @@ class VerificationReport:
         return EXIT_CODES[self.verdict]
 
 
-_KEY_ORDER = (
-    "object", "invariants", "weil_table", "rank_predicted", "ord_computed",
-    "special_value_predicted", "special_value_computed", "verdict",
-    "tolerances", "caveats",
-)
+_KEY_ORDER = tuple(f.name for f in fields(VerificationReport))
 
 
 def emit_report(report: VerificationReport, as_json: bool = False) -> str:
@@ -318,11 +311,10 @@ def pn_of_report(inv: NumberFieldInvariants, n: int,
     )
 
 
-def ff_value(c: Fraction, e: int, q: int) -> SymbolicValue:
-    """c * (ln q)^e for q = p^k, with k^e folded into the mantissa:
-    c * k^e * (ln p)^e."""
-    p, k = ff_zeta.prime_power(q)
-    return SymbolicValue(c * Fraction(k) ** e, {p: e}, 1.0)
+def ff_value(c: Fraction, e: int, variety) -> SymbolicValue:
+    """c * (ln q)^e for the variety's q = p^k, with k^e folded into the
+    mantissa: c * k^e * (ln p)^e."""
+    return SymbolicValue(c * Fraction(variety.k) ** e, {variety.p: e}, 1.0)
 
 
 def ff_report(variety) -> VerificationReport:
@@ -334,9 +326,9 @@ def ff_report(variety) -> VerificationReport:
         q, n = variety.q, variety.n
         name = f"P^{n} over F_{q}"
         invariants = {"q": q, "n": n}
-        table = weil_tables.pn_fq_table(q, n)
+        table = weil_tables.pn_fq_table(variety)
         table_json = serialize_table(table)
-        zeta, checks = ff_zeta.zeta_pn(q, n), ()
+        zeta, checks = ff_zeta.zeta_pn(variety), ()
         rank, torsion = rank_weighted_euler(table), torsion_euler(table)
         names = ("vanishing order equals rank Euler characteristic",
                  "|mantissa| equals torsion Euler characteristic")
@@ -356,8 +348,8 @@ def ff_report(variety) -> VerificationReport:
         weil_table=table_json,
         rank_predicted=rank,
         ord_computed=ord_,
-        special_value_predicted=ff_value(-torsion if rank % 2 else torsion, rank, q),
-        special_value_computed=ff_value(lead, ord_, q),
+        special_value_predicted=ff_value(-torsion if rank % 2 else torsion, rank, variety),
+        special_value_computed=ff_value(lead, ord_, variety),
         verdict=verdict,
         tolerances={"value": 0},
         caveats=[*failed, "sign compared up to +-1"],
@@ -381,8 +373,6 @@ def open_report(base: VerificationReport, fibers) -> VerificationReport:
     rank = _minus_fibers(reports, "rank_predicted", operator.sub)
     ord_ = _minus_fibers(reports, "ord_computed", operator.sub)
     value = _minus_fibers(reports, "special_value_computed", operator.truediv)
-    if value is not None:
-        value.require_finite()
     verdict, failed = decide((("ord additivity", rank is not None and ord_ == rank),),
                              inputs=[r.verdict for r in reports])
     return VerificationReport(

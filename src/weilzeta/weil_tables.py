@@ -16,6 +16,7 @@ reproduce the exact zeta special value (the zeta side is the oracle).
 
 from __future__ import annotations
 
+from .ff_zeta import ProjectiveSpace
 from .fgab import FgAb, GradedTable, Z, extend
 from .motivic_rank import borel_dim
 from .number_field import NumberFieldInvariants
@@ -72,15 +73,11 @@ def pn_of_table(
     return table
 
 
-def pn_fq_table(q: int, n: int) -> GradedTable:
+def pn_fq_table(space: ProjectiveSpace) -> GradedTable:
     """H^i_W table of P^n over F_q (compact support = plain in char p):
     Z in degrees 0 and 1, torsion of order q^j - 1 in degree 2j+1 for
     1 <= j <= n.  Verified against the exact zeta side."""
-    if q < 2:
-        raise ValueError("q must be a prime power >= 2")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     entries = {0: Z, 1: Z}
-    for j in range(1, n + 1):
-        entries[2 * j + 1] = FgAb(0, q**j - 1)
-    return GradedTable(entries, dim=n)
+    for j in range(1, space.n + 1):
+        entries[2 * j + 1] = FgAb(0, space.q**j - 1)
+    return GradedTable(entries, dim=space.n)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilzeta import reports
+from weilzeta import ff_zeta, reports
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import MAX_ABS_DISC, NumberFieldInvariants, quad_invariants
@@ -513,6 +513,33 @@ def test_cli_ff_pn_unprintable_value_is_refused(q, n):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith(f"error: the exact special value of P^{n} ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("q,n", [(3, 134), (2, 10**30)], ids=["q3-n134", "huge-n"])
+def test_projective_space_refuses_what_the_cli_refuses(q, n):
+    # the record holds the bound, so library callers meet it too
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        ProjectiveSpace(q, n)
+    assert time.perf_counter() - start < 1.0
+    assert cli("ff", "pn", "--q", str(q), "--n", str(n)) == (1, "", f"error: {exc.value}\n")
+
+
+def test_cli_ff_factors_q_once(monkeypatch):
+    # ProjectiveSpace factors q; the table, the zeta side and the values
+    # read p and k off the record, and a curve's k is 1
+    calls, prime_power = [], ff_zeta.prime_power
+
+    def counting(q):
+        calls.append(q)
+        return prime_power(q)
+
+    monkeypatch.setattr(ff_zeta, "prime_power", counting)
+    code, out, err = cli("ff", "pn", "--q", "999999999989", "--n", "2")
+    assert (code, err, calls) == (0, "", [999999999989])
+    calls.clear()
+    code, out, err = cli("ff", "curve", "--p", "7", "--f", "x^3+x+1")
+    assert (code, err, calls) == (0, "", [])
 
 
 def test_cli_ff_pn_bound_ignores_the_environment():

@@ -372,10 +372,10 @@ def test_primitive_element_is_smallest():
 
 def test_count_points_projective_space():
     # #P^n(F_{q^m}) = sum_{i<=n} q^(m i), read off Z(t)
-    assert expected_counts(zeta_pn(4, 1), 1) == [5]
-    assert expected_counts(zeta_pn(2, 2), 1) == [7]
-    assert expected_counts(zeta_pn(3, 0), 5)[4] == 1
-    assert expected_counts(zeta_pn(2, 2), 2)[1] == 1 + 4 + 16
+    assert expected_counts(zeta_pn(ProjectiveSpace(4, 1)), 1) == [5]
+    assert expected_counts(zeta_pn(ProjectiveSpace(2, 2)), 1) == [7]
+    assert expected_counts(zeta_pn(ProjectiveSpace(3, 0)), 5)[4] == 1
+    assert expected_counts(zeta_pn(ProjectiveSpace(2, 2)), 2)[1] == 1 + 4 + 16
     with pytest.raises(TypeError):
         count_points(ProjectiveSpace(2, 2))
 
@@ -490,8 +490,15 @@ def test_curve_spec_rejects_bad_degree_and_char():
 # ---------------------------------------------------------------------------
 # zeta functions
 
+def test_projective_space_holds_p_and_k():
+    space = ProjectiveSpace(9, 2)
+    assert (space.p, space.k) == (3, 2)
+    assert repr(space) == "ProjectiveSpace(q=9, n=2)" and space == ProjectiveSpace(9, 2)
+    assert CurveSpec(5, (0, -1, 0, 1)).k == 1
+
+
 def test_zeta_pn_structure():
-    zeta = zeta_pn(3, 2)
+    zeta = zeta_pn(ProjectiveSpace(3, 2))
     assert zeta.numerator_factors == ()
     assert zeta.denominator_factors == ((1, -1), (1, -3), (1, -9))
     assert expected_counts(zeta, 3) == [13, 91, 757]
@@ -524,7 +531,7 @@ def test_zeta_curve_functional_equation_and_hasse():
 
 
 def test_expected_counts_against_series_oracle():
-    zetas = [zeta_pn(q, n) for q in (2, 3, 4, 9, 1048573) for n in range(4)]
+    zetas = [zeta_pn(ProjectiveSpace(q, n)) for q in (2, 3, 4, 9, 1048573) for n in range(4)]
     zetas += [zeta_curve(c) for c in (
         CurveSpec(3, (0, 1, 0, 1)), CurveSpec(7, (1, 2, 0, 0, 0, 1)),
         CurveSpec(5, (1, 0, 1, 0, 0, 0, 0, 1)), CurveSpec(101, (5, 0, 1, 0, 0, 0, 0, 1)))]
@@ -539,7 +546,7 @@ def test_expected_counts_against_series_oracle():
         want = counts_series_oracle(zeta, 12)
         got = expected_counts(zeta, 12)
         assert all(type(n) is int for n in got) and got == want, zeta
-    assert expected_counts(zeta_pn(3, 2), 0) == []
+    assert expected_counts(zeta_pn(ProjectiveSpace(3, 2)), 0) == []
 
 
 def test_zeta_factors_validated():
@@ -552,13 +559,13 @@ def test_zeta_factors_validated():
 
 def test_special_value_point():
     # zeta*(0) = 1 * (ln 5)^-1
-    assert special_value_s0(zeta_pn(5, 0)) == (-1, 1)
+    assert special_value_s0(zeta_pn(ProjectiveSpace(5, 0))) == (-1, 1)
 
 
 def test_special_value_p2():
     # P^2 over F_q: simple pole, |c| = 1 / ((q-1)(q^2-1))
     for q in (2, 3, 4, 5):
-        ord_, c = special_value_s0(zeta_pn(q, 2))
+        ord_, c = special_value_s0(zeta_pn(ProjectiveSpace(q, 2)))
         assert ord_ == -1
         assert abs(c) == Fraction(1, (q - 1) * (q**2 - 1))
 

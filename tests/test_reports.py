@@ -50,14 +50,21 @@ def test_symbolic_equality_ignores_zero_exponents():
             ).log_exponents == {3: 2}
 
 
+def test_symbolic_value_is_finite_by_construction():
+    # (ln 3)^10000, a 10^400 mantissa and an infinite factor overflow a float
+    for args in ((Fraction(1), {3: 10000}), (Fraction(10**400),), (Fraction(1), {}, math.inf)):
+        with pytest.raises(ValueError, match="^special value is not a finite float$"):
+            SymbolicValue(*args)
+
+
 def test_ff_value_folds_prime_power_base():
     # ln(9)^e = (2 ln 3)^e folds 2^e into the mantissa
-    v = ff_value(Fraction(1, 8), -1, 9)
+    v = ff_value(Fraction(1, 8), -1, ProjectiveSpace(9, 0))
     assert v == SymbolicValue(Fraction(1, 16), {3: -1})
     assert abs(v.numeric() - Fraction(1, 8) / math.log(9)) < 1e-15
     # a prime base keeps the mantissa; exponent 0 leaves no log factor
-    assert ff_value(Fraction(-2, 3), 2, 5) == SymbolicValue(Fraction(-2, 3), {5: 2})
-    assert ff_value(Fraction(3), 0, 8) == SymbolicValue(Fraction(3), {})
+    assert ff_value(Fraction(-2, 3), 2, ProjectiveSpace(5, 0)) == SymbolicValue(Fraction(-2, 3), {5: 2})
+    assert ff_value(Fraction(3), 0, ProjectiveSpace(8, 0)) == SymbolicValue(Fraction(3), {})
 
 
 def test_numberring_value_is_a_real_factor():

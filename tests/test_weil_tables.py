@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weilzeta.ff_zeta import ProjectiveSpace
 from weilzeta.fgab import FgAb, GradedTable, Z, rank_weighted_euler, torsion_euler
 from weilzeta.number_field import is_fundamental, quad_invariants
 from weilzeta.weil_tables import (
@@ -108,7 +109,7 @@ def test_pn_of_table_rejects_bad_indices():
 
 
 def test_pn_fq_table_shape():
-    table = pn_fq_table(4, 2)
+    table = pn_fq_table(ProjectiveSpace(4, 2))
     assert table[0].rank == 1 and table[1].rank == 1
     assert (table[3].rank, table[3].torsion_order) == (0, 3)
     assert (table[5].rank, table[5].torsion_order) == (0, 15)
@@ -119,7 +120,7 @@ def test_pn_fq_euler_invariants():
     # ord(zeta at 0) = -1 and zeta* = -1/prod(q^j - 1), both from the table
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         for n in range(0, 5):
-            table = pn_fq_table(q, n)
+            table = pn_fq_table(ProjectiveSpace(q, n))
             assert rank_weighted_euler(table) == -1
             expected = Fraction(1)
             for j in range(1, n + 1):
@@ -129,6 +130,6 @@ def test_pn_fq_euler_invariants():
 
 def test_pn_fq_table_rejects():
     with pytest.raises(ValueError):
-        pn_fq_table(1, 2)
+        pn_fq_table(ProjectiveSpace(1, 2))
     with pytest.raises(ValueError):
-        pn_fq_table(4, -1)
+        pn_fq_table(ProjectiveSpace(4, -1))
