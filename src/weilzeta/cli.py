@@ -22,15 +22,7 @@ import sys
 
 from . import ff_zeta
 from .acceptance import run_suite
-from .number_field import (
-    MAX_ABS_DISC,
-    InvariantsError,
-    NumberFieldInvariants,
-    fundamental_discriminant,
-    is_fundamental,
-    load_invariants,
-    quad_invariants,
-)
+from .number_field import NumberFieldInvariants, load_invariants, quad_invariants
 from .reports import (
     emit_report,
     ff_report,
@@ -115,16 +107,7 @@ def _resolve_invariants(args) -> NumberFieldInvariants:
         return load_invariants(args.invariants)
     if args.disc is None:
         raise UsageError("need --disc or --invariants")
-    d = args.disc
-    # quad_invariants refuses a larger |d| before any O(sqrt |d|) trial division
-    if abs(d) <= MAX_ABS_DISC and not is_fundamental(d):
-        hint = ""
-        try:
-            hint = f" (did you mean {fundamental_discriminant(d)}?)"
-        except InvariantsError:
-            pass
-        raise UsageError(f"{d} is not a fundamental discriminant{hint}")
-    return quad_invariants(d)
+    return quad_invariants(args.disc)
 
 
 @functools.cache  # parse_args keeps no state: a fresh Namespace per call

@@ -366,10 +366,6 @@ class CurveSpec:
     def genus(self) -> int:
         return (len(self.f) - 2) // 2
 
-    @property
-    def q(self) -> int:
-        return self.p
-
 
 def count_points(variety, m: int = 1) -> int:
     """N_m = q^m + 1 + sum_{x in F_{q^m}} chi(f(x)) for a curve
@@ -520,13 +516,12 @@ def curve_class_number(zeta: ZetaRational) -> int:
 
 def _shifted_order_and_lead(coeffs):
     """(ord, lead) of f at t=1: expand f(1+u), return the first nonzero
-    coefficient and its index."""
+    coefficient and its index (f has constant term 1, so f(1+u) != 0)."""
     n = len(coeffs)
     for j in range(n):
         g_j = sum(coeffs[i] * comb(i, j) for i in range(j, n))
         if g_j:
             return j, g_j
-    raise ValueError("zero polynomial factor")
 
 
 def special_value_s0(zeta: ZetaRational) -> tuple:

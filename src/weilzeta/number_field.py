@@ -220,11 +220,15 @@ def quad_invariants(D: int) -> NumberFieldInvariants:
     (D = 1 gives Q itself)."""
     if D == 1:
         return RATIONALS
-    if abs(D) > MAX_ABS_DISC:
+    if abs(D) > MAX_ABS_DISC:  # before any O(sqrt |D|) trial division
         raise InvariantsError(f"|disc| = {abs(D)} exceeds the supported bound "
                               f"MAX_ABS_DISC = {MAX_ABS_DISC}")
     if not is_fundamental(D):
-        raise InvariantsError(f"D={D} is not a fundamental discriminant")
+        try:
+            hint = f" (did you mean {fundamental_discriminant(D)}?)"
+        except InvariantsError:  # a square defines no quadratic field
+            hint = ""
+        raise InvariantsError(f"{D} is not a fundamental discriminant{hint}")
     if D < 0:
         w = {-3: 6, -4: 4}.get(D, 2)
         return NumberFieldInvariants(
@@ -263,10 +267,7 @@ def parse_invariants(text: str) -> NumberFieldInvariants:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise InvariantsError(f"missing required key(s): {', '.join(missing)}")
-    return NumberFieldInvariants(
-        r1=values["r1"], r2=values["r2"], h=values["h"],
-        R=values["R"], w=values["w"], disc=values.get("disc", 0),
-    )
+    return NumberFieldInvariants(**values)
 
 
 def load_invariants(path) -> NumberFieldInvariants:

@@ -10,10 +10,8 @@ floats.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -59,11 +57,18 @@ class SymbolicValue:
         return out
 
     def __truediv__(self, other: "SymbolicValue") -> "SymbolicValue":
-        exps = dict(self.log_exponents)
-        for p, e in other.log_exponents.items():
-            exps[p] = exps.get(p, 0) - e
-        return SymbolicValue(self.mantissa / other.mantissa, exps,
-                             self.real_factor / other.real_factor)
+        return self.divided_by((other,))
+
+    def divided_by(self, others) -> "SymbolicValue":
+        """self / prod(others), built once: log exponents subtract, the
+        mantissa and real factor divide in order, and only the quotient
+        must be a finite float."""
+        exps, mantissa, real = dict(self.log_exponents), self.mantissa, self.real_factor
+        for other in others:
+            for p, e in other.log_exponents.items():
+                exps[p] = exps.get(p, 0) - e
+            mantissa, real = mantissa / other.mantissa, real / other.real_factor
+        return SymbolicValue(mantissa, exps, real)
 
     def to_json(self) -> dict:
         return {
@@ -149,13 +154,8 @@ _KEY_ORDER = tuple(f.name for f in fields(VerificationReport))
 
 def emit_report(report: VerificationReport, as_json: bool = False) -> str:
     if as_json:
-        payload = {}
-        for key in _KEY_ORDER:
-            value = getattr(report, key)
-            if isinstance(value, SymbolicValue):
-                value = value.to_json()
-            payload[key] = value
-        return json.dumps(payload, indent=2)
+        return json.dumps({k: getattr(report, k) for k in _KEY_ORDER}, indent=2,
+                          default=SymbolicValue.to_json)
 
     lines = [f"object:            {report.object}"]
     if report.invariants:
@@ -227,8 +227,7 @@ def load_report(path) -> VerificationReport:
 # report builders
 
 def _invariants_dict(inv: NumberFieldInvariants) -> dict:
-    return {"r1": inv.r1, "r2": inv.r2, "h": inv.h, "R": inv.R,
-            "w": inv.w, "disc": inv.disc}
+    return {f.name: getattr(inv, f.name) for f in fields(inv)}
 
 
 def decide(checks, inputs=(), ok=PASS):
@@ -356,23 +355,21 @@ def ff_report(variety) -> VerificationReport:
     )
 
 
-def _minus_fibers(reports, key, minus):
-    """Base minus (by minus) each fiber's key; None unless all have it."""
-    values = [getattr(r, key) for r in reports]
-    return None if None in values else functools.reduce(minus, values)
-
-
 def open_report(base: VerificationReport, fibers) -> VerificationReport:
     """Report for the open complement U of closed fibers Y_i inside X:
     zeta multiplicativity makes orders and ranks subtract, and the
-    special value divide; U's verdict is no stronger than its inputs'."""
+    special value divide, by all fibers at once, so only U's own value
+    must be a finite float; U's verdict is no stronger than its inputs'."""
     fibers = list(fibers)
     if not fibers:
         return base
     reports = [base, *fibers]
-    rank = _minus_fibers(reports, "rank_predicted", operator.sub)
-    ord_ = _minus_fibers(reports, "ord_computed", operator.sub)
-    value = _minus_fibers(reports, "special_value_computed", operator.truediv)
+    # each is base minus the fibers, None unless every report has it
+    ranks, ords, values = ([getattr(r, key) for r in reports] for key in
+                           ("rank_predicted", "ord_computed", "special_value_computed"))
+    rank = None if None in ranks else ranks[0] - sum(ranks[1:])
+    ord_ = None if None in ords else ords[0] - sum(ords[1:])
+    value = None if None in values else values[0].divided_by(values[1:])
     verdict, failed = decide((("ord additivity", rank is not None and ord_ == rank),),
                              inputs=[r.verdict for r in reports])
     return VerificationReport(
@@ -390,21 +387,11 @@ def open_report(base: VerificationReport, fibers) -> VerificationReport:
 
 
 def poly_to_str(coeffs) -> str:
-    terms = []
+    out = ""
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            term = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else str(abs(c))
-            term = f"{mag}x" + (f"^{i}" if i > 1 else "")
-        terms.append(("-" if c < 0 else "+", term))
-    if not terms:
-        return "0"
-    first_sign, first = terms[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, term in terms[1:]:
-        out += f"{sign}{term}"
-    return out
+        if c:
+            out += "-" if c < 0 else "+" if out else ""
+            out += "" if abs(c) == 1 and i else str(abs(c))
+            out += "" if i == 0 else "x" if i == 1 else f"x^{i}"
+    return out or "0"

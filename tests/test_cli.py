@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilzeta import ff_zeta, reports
+from weilzeta import ff_zeta, number_field, reports
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import MAX_ABS_DISC, NumberFieldInvariants, quad_invariants
@@ -169,6 +170,9 @@ def test_parse_poly_arbitrary_text_is_tuple_or_usage_error():
 def test_poly_roundtrip():
     for coeffs in ((1, -2, 0, 1), (0, 1, 0, 1), (7, 0, -1, 0, 0, 2), (0, 0, 0, -1)):
         assert parse_poly(poly_to_str(coeffs)) == coeffs
+    for coeffs, text in (((), "0"), ((1,), "1"), ((-3, 1), "x-3"),
+                         ((7, 0, -1, 0, 0, 2), "2x^5-x^2+7"), ((0, 0, 0, -1), "-x^3")):
+        assert poly_to_str(coeffs) == text
 
 
 def test_parse_k_torsion(tmp_path):
@@ -315,6 +319,34 @@ def test_cli_open_fail_exit_code(tmp_path):
     bad.write_text(json.dumps(doctored))
     code, out, _ = cli("open", str(base), str(bad))
     assert code == 2 and "FAIL" in out
+
+
+def test_cli_open_divides_once(tmp_path):
+    # base / Y1 = (ln 3)^10000 overflows a float; U's own value does not
+    report = json.loads(emit_report(ff_report(ProjectiveSpace(3, 0)), as_json=True))
+    paths = [tmp_path / f"{name}.json" for name in "abc"]
+    for path, e in zip(paths, (5000, -5000, 5000)):
+        path.write_text(json.dumps(_with_value(report, log_exponents={"3": e})))
+    code, out, err = cli("open", *map(str, paths), "--json")
+    assert code == 0 and err == ""
+    value = json.loads(out)["special_value_computed"]
+    assert value["log_exponents"] == {"3": 5000}
+    assert math.isclose(abs(value["numeric"]), math.log(3) ** 5000, rel_tol=1e-12)
+
+
+def test_numberring_checks_fundamental_in_quad_invariants_only(monkeypatch):
+    # the command line leaves the refusal (and its hint) to quad_invariants
+    calls = []
+
+    def counted(D, original=number_field.is_fundamental):
+        calls.append(D)
+        return original(D)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weilzeta") and hasattr(module, "is_fundamental"):
+            monkeypatch.setattr(module, "is_fundamental", counted)
+    assert cli("numberring", "--disc", "-23", "--json")[0] == 0
+    assert calls == [-23] * 4
 
 
 def test_run_in_process():

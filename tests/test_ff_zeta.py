@@ -465,7 +465,7 @@ def test_count_points_size_bound():
 
 def test_curve_spec_properties():
     c = CurveSpec(5, (0, -1, 0, 1))
-    assert c.genus == 1 and c.q == 5
+    assert c.genus == 1
     c = CurveSpec(5, (1, 1, 0, 0, 0, 1))
     assert c.genus == 2
 

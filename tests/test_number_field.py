@@ -237,6 +237,15 @@ def test_quad_invariants():
     assert quad_invariants(-3).w == 6
 
 
+def test_quad_invariants_refusal_suggests_the_discriminant():
+    with pytest.raises(InvariantsError,
+                       match=r"^-5 is not a fundamental discriminant \(did you mean -20\?\)$"):
+        quad_invariants(-5)
+    # fundamental_discriminant refuses a square: no hint
+    with pytest.raises(InvariantsError, match=r"^9 is not a fundamental discriminant$"):
+        quad_invariants(9)
+
+
 def test_quad_invariants_positive():
     for d in fundamental_range(-200, 200):
         inv = quad_invariants(d)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -263,6 +264,24 @@ def test_open_report_rank_only_input_gives_rank_only():
     for weaker in (FAIL, UNSUPPORTED):
         for b, f in ((base, _with_verdict(fiber, weaker)), (_with_verdict(base, weaker), fiber)):
             assert open_report(b, [f]).verdict == weaker
+
+
+def test_open_report_divides_once():
+    # base / Y1 = (ln 3)^10000 is not a finite float, U = base / (Y1 Y2) is
+    point = ff_report(ProjectiveSpace(3, 0))
+    base, y1, y2 = (dataclasses.replace(point, special_value_computed=SymbolicValue(
+        Fraction(1), {3: e})) for e in (5000, -5000, 5000))
+    value = open_report(base, [y1, y2]).special_value_computed
+    assert value.log_exponents == {3: 5000}
+    assert math.isclose(value.numeric(), 1.668e204, rel_tol=1e-3)
+
+
+def test_divided_by_divides_in_order():
+    a, b, c = (SymbolicValue(Fraction(m), {2: e}, r)
+               for m, e, r in ((3, 1, 0.1), (7, -2, 0.3), (11, 4, 0.7)))
+    assert a.divided_by([b, c]) == a / b / c
+    assert a.divided_by([b, c]).real_factor == 0.1 / 0.3 / 0.7
+    assert a.divided_by([]) == a
 
 
 def test_open_report_own_fail_is_named():
