@@ -1,11 +1,13 @@
 import dataclasses
+import functools
+import hashlib
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 import numpy as np
@@ -138,6 +140,63 @@ def ext_affine_count_oracle(f, p, mod):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def irreducible_monics(p, d):
+    """The monic irreducibles u of degree d <= 3 over F_p, as the d
+    columns u_0..u_(d-1) of their lower coefficients: every monic of
+    degree d but the products (t - r) v, v monic of degree d - 1, which
+    for d <= 3 are all the reducible ones."""
+    reducible = np.zeros(p**d, dtype=bool)
+    if d > 1:
+        r = np.arange(p, dtype=np.int64)[:, None]
+        codes = np.arange(p ** (d - 1), dtype=np.int64)
+        v = [codes // p**j % p for j in range(d - 1)] + [np.ones_like(codes)]
+        # (t - r) v has coefficient v_(j-1) - r v_j at t^j
+        product_code = sum((low - r * v[j]) % p * p**j
+                           for j, low in enumerate([0] + v[:-1]))
+        reducible[product_code.ravel()] = True
+    codes = np.flatnonzero(~reducible)
+    # Gauss: (1/d) sum_{e | d} mu(e) p^(d/e) monic irreducibles
+    assert len(codes) == {1: p, 2: (p * p - p) // 2, 3: (p**3 - p) // 3}[d]
+    return [codes // p**j % p for j in range(d)]
+
+
+def closed_point_count_oracle(f, p, m):
+    """N_m of y^2 = f(x) over F_p, deg f odd, by closed points of the
+    x-line: x in F_{p^m} of degree d over F_p has a minimal polynomial u,
+    and chi_{p^m}(f(x)) = chi_p(Res(u, f))^(m/d), so
+    N_m = p^m + 1 + sum_{d | m} d sum_u chi_p(Res(u, f))^(m/d).  No
+    modulus, generator, log or Frobenius orbit of F_{p^m} is used.
+    Res(u, f), u monic, is the norm of f(a) in F_p[a]/(u): the
+    determinant of multiplication by f(a) in the basis 1, a, .., a^(d-1)."""
+    is_square = np.zeros(p, dtype=bool)
+    is_square[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    total = p**m + 1
+    for d in (d for d in (1, 2, 3) if m % d == 0):
+        u = irreducible_monics(p, d)
+
+        def times_a(e):  # a^d = -(u_0 + .. + u_(d-1) a^(d-1))
+            return [(low - e[-1] * uj) % p for low, uj in zip([0] + e[:-1], u)]
+
+        fa = [np.zeros_like(u[0]) for _ in range(d)]
+        for c in reversed(f):
+            fa = times_a(fa)
+            fa[0] = (fa[0] + c) % p
+        cols = [fa]
+        for _ in range(d - 1):
+            cols.append(times_a(cols[-1]))
+        norm = 0
+        for perm in permutations(range(d)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+            term = 1
+            for col, row in enumerate(perm):
+                term = term * cols[col][row] % p
+            norm = norm + sign * term
+        norm %= p
+        chi = np.where(norm == 0, 0, np.where(is_square[norm], 1, -1))
+        total += d * int((chi ** (m // d)).sum())
+    return total
+
 def counts_series_oracle(zeta, terms):
     """N_1..N_terms of Z(t) from its Fraction power series: Z is the
     product of the numerator factors times the series inverse of each
@@ -217,6 +276,39 @@ def test_legendre_is_euler_criterion():
         want = [0] + [1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)]
         table = legendre(p)
         assert table.dtype == "int8" and table.tolist() == want
+
+
+def table_digest(*tables, head=b""):
+    """sha256 over each table's dtype and bytes, after ``head``."""
+    h = hashlib.sha256(head)
+    for table in tables:
+        h.update(table.dtype.str.encode() + table.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (modulus, log, zech, reps, sizes) of make_field(p, k), taken
+# from the whole-array builder that preceded the blocked one
+FIELD_DIGESTS = {
+    (2, 4): "b40cc2804b060c94c1e66df766af17bb8f8d46a13aa244b105e7094df08d25b2",
+    (3, 5): "85f275f66d477b7e34dbb8650db2eea439312f834e3932d2cbd62e47fffc69ae",
+    (65537, 1): "bb0c86ff84b9bba3a66434a017f11e685c26d279f6ffff5dcebd37c582a8cc5d",
+    (1021, 2): "df392b3516b70faa85a19457f485f23979bdde0fcde39857c3b829b770fd53d4",
+    (101, 3): "a5638b2c147b0fc588d68f86c21d826b8d189a5b5b0502e9b444073bcdeb966b",
+    (31, 4): "9b13864d0ffcbad898ef8acbfc80ab26fdda83c1c33f8a1104c6f2c51d2f413a",
+}
+
+
+@pytest.mark.parametrize("p, k", sorted(FIELD_DIGESTS))
+def test_field_tables_are_bit_identical(p, k):
+    field = make_field(p, k)
+    digest = table_digest(field.log, field.zech, field.reps, field.sizes,
+                          head=repr(field.modulus).encode())
+    assert digest == FIELD_DIGESTS[(p, k)]
+
+
+def test_legendre_table_is_bit_identical():
+    assert table_digest(legendre(1048573)) == (
+        "c6a651d1300bcd877941c48d317e783412305d9474ef478b25c25c43a07645f9")
 
 
 def test_is_prime_against_sieve():
@@ -426,6 +518,26 @@ def test_count_points_zero_accumulator_against_oracle():
             assert count_points(c, m) == ext_affine_count_oracle(c.f, p, mod) + 1
             checked += 1
         assert checked >= 1
+
+
+def test_closed_point_oracle_against_enumeration():
+    # the oracle itself, against brute force over F_{p^m}
+    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2), (5, 3)):
+        mod = make_field(p, m).modulus
+        for f in ((1, 1, 0, 1), (1, 2, 0, 0, 0, 1), (2, 0, 1, 0, 0, 0, 0, 1)):
+            try:
+                c = CurveSpec(p, f)
+            except ValueError:
+                continue
+            assert closed_point_count_oracle(c.f, p, m) == ext_affine_count_oracle(c.f, p, mod) + 1
+
+
+@pytest.mark.parametrize("p, m", [(1021, 2), (101, 3)])
+def test_count_points_full_size_against_closed_points(p, m):
+    # full-size fields, far past the enumeration oracles (q <= 729)
+    for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (5, 1, 0, 0, 0, 0, 7, 1)):
+        c = CurveSpec(p, f)
+        assert count_points(c, m) == closed_point_count_oracle(c.f, p, m)
 
 
 def test_count_points_extension_consistency():
