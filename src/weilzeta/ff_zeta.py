@@ -13,7 +13,9 @@ f has coefficients in F_p, so f(x^p) = f(x)^p has the same character as
 f(x): f is evaluated once per Frobenius orbit (the orbit of g^i is
 g^(i p^j)) and each value is weighted by the orbit size.  The modulus of
 F_{p^k} is the lexicographically minimal monic irreducible, so every
-output is reproducible bit for bit.
+output is reproducible bit for bit.  The field tables, the orbits, the
+Legendre table and the count over F_p are built BLOCK elements at a
+time, so no temporary array grows with q.
 
 The numerator P(t) of a curve's zeta function is reconstructed from the
 counts N_1..N_g via the exponential recursion and completed by the
@@ -42,6 +44,7 @@ PRIME_POWER_BITS = 1024
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_VALUE_DIGITS = 4300  # CPython's default int-to-str limit, fixed whatever the environment sets
+BLOCK = 1 << 14  # elements per block of each table fill and F_p count; a power of 2 (_log_tables)
 
 
 class SizeBoundExceeded(ValueError):
@@ -221,7 +224,10 @@ class FiniteField:
 
 def _log_tables(p: int, k: int, modulus):
     """(log, zech) of F_{p^k} as described in FiniteField, with log over
-    all q elements; make_field keeps its first p entries."""
+    all q elements; make_field keeps its first p entries.  The digit
+    columns of g^0..g^(B-1), B = min(BLOCK, n), are filled by doubling;
+    block a, g^(aB)..g^(aB+B-1), is g^(aB)'s k x k matrix times that
+    base, and only its codes are kept."""
     q = p**k
     n = q - 1
     cofactors = [n // l for l in factorize(n)]
@@ -233,43 +239,56 @@ def _log_tables(p: int, k: int, modulus):
             break
     cols = [_poly_mulmod([0] * j + [1], g, modulus, p) for j in range(k)]
     step = np.array([c + [0] * (k - len(c)) for c in cols], dtype=np.int64).T
-    # the digit rows of g^0..g^(n-1), filled by doubling: rows [m, 2m)
-    # are rows [0, m) times g^m, whose k x k matrix is step
-    digits = np.zeros((n, k), dtype=np.int64)
-    digits[0, 0] = 1
+    # columns [m, 2m) of the base are columns [0, m) times g^m, whose
+    # k x k matrix is step; BLOCK is a power of 2, so step ends as g^B's
+    # matrix whenever there is more than one block
+    base = np.zeros((k, min(BLOCK, n)), dtype=np.int64)
+    base[0, 0] = 1
     m = 1
-    while m < n:
-        rows = min(m, n - m)
-        digits[m:m + rows] = digits[:rows] @ step.T % p
+    while m < base.shape[1]:
+        width = min(m, base.shape[1] - m)
+        base[:, m:m + width] = step @ base[:, :width] % p
         step = step @ step % p
-        m += rows
-    exp = digits @ (p ** np.arange(k))  # exp[j] = g^j
+        m += width
     log = np.empty(q, dtype=np.int32)
-    log[exp] = np.arange(n, dtype=np.int32)
     log[0] = 2 * n
-    # 1 + g^j adds 1 to base-p digit 0, with no carry
-    exp += 1
-    exp[digits[:, 0] == p - 1] -= p
     zech = np.zeros(n + 1, dtype=np.int32)
-    zech[:n] = log[exp]
+    jump = np.eye(k, dtype=np.int64)  # g^(aB)'s matrix
+    for start in range(0, n, BLOCK):
+        exp = 0  # exp[j] = g^(start + j), by Horner from its top digit down
+        for row in jump[::-1]:
+            digit = row @ base[:, :n - start]
+            digit -= digit // p * p  # digit %= p; numpy's // by a scalar is faster
+            exp = exp * p + digit
+        log[exp] = np.arange(start, start + len(exp), dtype=np.int32)
+        # digit is now base-p digit 0, and 1 + g^j adds 1 to it, with no carry
+        zech[start:start + len(exp)] = exp + 1 - p * (digit == p - 1)
+        jump = step @ jump % p
+    for start in range(0, n, BLOCK):  # codes of 1 + g^j to their logs
+        block = zech[start:min(start + BLOCK, n)]
+        block[:] = log[block]
     zech[log[p - 1]] = _ZERO_LOG  # 1 + g^j = 0 where g^j = -1
     return log, zech
 
 
 def _frobenius_orbits(p: int, k: int):
-    """(reps, sizes) of F_{p^k} as described in FiniteField."""
-    # i p^t mod (q-1) rotates the k base-p digits of i, so on the grid of
-    # digits it is a cyclic roll of the axes
-    grid = np.arange(p**k, dtype=np.int32).reshape((p,) * k)
-    low, fixed = grid.copy(), np.ones(grid.shape, dtype=np.int8)
-    for t in range(1, k):
-        rot = grid.transpose(np.roll(np.arange(k), t))
-        np.minimum(low, rot, out=low)
-        fixed += rot == grid
-    # drop q-1, whose digits are all p-1: it is 0 mod q-1
-    is_rep = (low == grid).ravel()[:-1]
-    return (np.flatnonzero(is_rep).astype(np.int32),
-            (k // fixed.ravel()[:-1][is_rep]).astype(np.int8))
+    """(reps, sizes) of F_{p^k} as described in FiniteField: per block of
+    i in [0, q-1), i is a rep if it is the least of i p^t mod (q-1),
+    t < k, and its orbit has k / #{t : i p^t = i} elements."""
+    n = p**k - 1
+    reps, sizes = [], []
+    for start in range(0, n, BLOCK):
+        i = np.arange(start, min(start + BLOCK, n), dtype=np.int64)
+        low, fixed, r = i.copy(), np.ones(len(i), dtype=np.int8), i
+        for _ in range(1, k):
+            r = r * p
+            r -= r // n * n  # r %= n; numpy's // by a scalar is faster
+            np.minimum(low, r, out=low)
+            fixed += r == i
+        is_rep = low == i
+        reps.append(i[is_rep].astype(np.int32))
+        sizes.append(k // fixed[is_rep])
+    return np.concatenate(reps), np.concatenate(sizes)
 
 
 _FIELD_CACHE: dict = {}
@@ -306,7 +325,9 @@ def legendre(p: int) -> np.ndarray:
     +1 at the nonzero squares r^2 mod p and -1 elsewhere."""
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
-    table[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
+    half = (p + 1) // 2
+    for start in range(1, half, BLOCK):
+        table[np.arange(start, min(start + BLOCK, half), dtype=np.int64) ** 2 % p] = 1
     return table
 
 
@@ -371,9 +392,10 @@ def count_points(variety, m: int = 1) -> int:
     """N_m = q^m + 1 + sum_{x in F_{q^m}} chi(f(x)) for a curve
     y^2 = f(x), subject to q^m <= 2^20: y^2 = v has 1 + chi(v) roots,
     and deg f is odd, so there is one point at infinity.  f is evaluated
-    in int64 residues for m = 1, reduced mod p only where the next
-    multiply-add could pass 2^63, and for m >= 2 once per Frobenius orbit
-    on the field's Zech table, in uint32 logs updated in place.
+    for m = 1 in int64 residues, one block of x at a time, reduced mod p
+    only where the next multiply-add could pass 2^63, and for m >= 2 once
+    per Frobenius orbit on the field's Zech table, in uint32 logs updated
+    in place.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -384,19 +406,22 @@ def count_points(variety, m: int = 1) -> int:
     p = variety.p
     f = [c % p for c in variety.f]
     if m == 1:
-        x = np.arange(p, dtype=np.int64)
-        acc = np.full(p, f[-1], dtype=np.int64)
-        top = f[-1]  # the largest value acc can hold
-        for c in reversed(f[:-1]):
-            if top * (p - 1) + c >= 2**63:
-                acc %= p
-                top = p - 1
-            acc *= x
-            if c:
-                acc += c
-            top = top * (p - 1) + c
-        acc %= p
-        return p + 1 + int(legendre(p)[acc].sum())
+        chi, total = legendre(p), p + 1
+        for start in range(0, p, BLOCK):
+            x = np.arange(start, min(start + BLOCK, p), dtype=np.int64)
+            acc = np.full(len(x), f[-1], dtype=np.int64)
+            top = f[-1]  # the largest value acc can hold
+            for c in reversed(f[:-1]):
+                if top * (p - 1) + c >= 2**63:
+                    acc %= p
+                    top = p - 1
+                acc *= x
+                if c:
+                    acc += c
+                top = top * (p - 1) + c
+            acc %= p
+            total += int(chi[acc].sum())
+        return total
     field = make_field(p, m)
     log, zech, reps = field.log, field.zech.view(np.uint32), field.reps.view(np.uint32)
     n = np.uint32(field.q - 1)

@@ -92,7 +92,7 @@ def is_fundamental(D: int) -> bool:
         return squarefree_part(D) == D
     if D % 4 == 0:
         m = D // 4
-        return squarefree_part(m) == m and m % 4 in (2, 3)
+        return m % 4 in (2, 3) and squarefree_part(m) == m  # False at D = 0
     return False
 
 

@@ -644,6 +644,21 @@ def test_cli_invariants_disc_above_bound_is_unsupported(tmp_path):
     assert f"exceeds the supported bound MAX_ABS_DISC = {MAX_ABS_DISC}" in out
 
 
+def test_cli_disc_zero_is_not_fundamental():
+    for verb in (("numberring",), ("pn-of", "--n", "1")):
+        code, out, err = cli(*verb, "--disc", "0")
+        assert (code, out, err) == (1, "", "error: 0 is not a fundamental discriminant\n")
+
+
+def test_cli_invariants_without_disc_is_unsupported(tmp_path):
+    # disc defaults to 0, where the analytic side is not computed
+    path = tmp_path / "inv.txt"
+    path.write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\n")
+    code, out, err = cli("numberring", "--invariants", str(path))
+    assert code == 3 and err == "" and "verdict:           UNSUPPORTED" in out
+    assert "analytic side unavailable for degree 2, disc 0" in out
+
+
 def test_cli_pn_of_huge_regulator():
     # the fundamental unit of Q(sqrt 317281) is too large for a float
     proc = subprocess.run(

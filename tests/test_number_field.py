@@ -77,6 +77,12 @@ def test_fundamental_discriminant_rejects():
             fundamental_discriminant(bad)
 
 
+def test_is_fundamental_zero_is_false():
+    assert is_fundamental(0) is False
+    with pytest.raises(InvariantsError, match=r"^0 is not a fundamental discriminant$"):
+        quad_invariants(0)
+
+
 def test_squarefree_part():
     assert squarefree_part(12) == 3
     assert squarefree_part(-8) == -2
