@@ -27,6 +27,7 @@ from .reports import (
 )
 
 NUMBER_RING_SUITE = (-3, -4, -7, -8, -11, -15, -23, -47, 5, 8, 12, 13, 40)
+SNF_TRIALS, SNF_SEED = 500, 20260823  # criterion 6: random matrices up to 6 x 6
 
 
 def check_number_rings():
@@ -133,11 +134,11 @@ def check_pn_rank_identity():
     return not bad and elapsed < 1.0, f"98 cases in {elapsed:.3f}s, failures: {bad or 'none'}"
 
 
-def check_smith_normal_form(trials: int = 500, seed: int = 20260823):
+def check_smith_normal_form():
     """Criterion 6: U M V = D, unimodularity, divisibility chain."""
-    rng = random.Random(seed)
+    rng = random.Random(SNF_SEED)
     bad = 0
-    for _ in range(trials):
+    for _ in range(SNF_TRIALS):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         m = IntMatrix(rows, cols, tuple(rng.randint(-10, 10) for _ in range(rows * cols)))
         u, d, v = smith_normal_form(m)
@@ -151,7 +152,7 @@ def check_smith_normal_form(trials: int = 500, seed: int = 20260823):
         )
         if not ok:
             bad += 1
-    return bad == 0, f"{trials} random matrices, {bad} failures"
+    return bad == 0, f"{SNF_TRIALS} random matrices, {bad} failures"
 
 
 def open_pairs():

@@ -170,10 +170,8 @@ def run(argv=None) -> int:
             base = load_report(args.base)
             fibers = [load_report(f) for f in args.fibers]
             report = open_report(base, fibers)
-        elif args.command == "suite":
+        else:  # suite; argparse refuses any other verb
             return 0 if run_suite() else 2
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
         print(emit_report(report, as_json=getattr(args, "json", False)))
     except (ValueError, OSError) as exc:  # every error class here subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)

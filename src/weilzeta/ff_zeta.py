@@ -19,8 +19,9 @@ time, so no temporary array grows with q.
 
 The numerator P(t) of a curve's zeta function is reconstructed from the
 counts N_1..N_g via the exponential recursion and completed by the
-functional equation; counts beyond genus only verify Z(t), against the
-counts that Newton's identities read off it.
+functional equation.  verify_ff refuses q^g > SIZE_BOUND before it
+counts, and compares every count it makes with the counts that Newton's
+identities read off Z(t).
 """
 
 from __future__ import annotations
@@ -499,17 +500,15 @@ def zeta_pn(space: ProjectiveSpace) -> ZetaRational:
     return ZetaRational((), tuple((1, -(space.q**j)) for j in range(space.n + 1)), space.q)
 
 
-def zeta_curve(curve: CurveSpec, counts=None) -> ZetaRational:
-    """Z(C, t) = P(t) / ((1-t)(1-qt)) with deg P = 2g.
+def zeta_curve(curve: CurveSpec, counts) -> ZetaRational:
+    """Z(C, t) = P(t) / ((1-t)(1-qt)) with deg P = 2g, from the counts
+    N_1..N_g at the head of ``counts`` (later counts are not read).
 
     P is determined by N_1..N_g through m a_m = sum c_i a_{m-i},
     c_i = N_i - 1 - q^i, and completed by the functional equation
-    a_{2g-i} = q^(g-i) a_i.  ``counts`` is the list N_1..N_g if already
-    known; otherwise they are counted here.
+    a_{2g-i} = q^(g-i) a_i.
     """
     q, g = curve.p, curve.genus
-    if counts is None:
-        counts = [count_points(curve, m) for m in range(1, g + 1)]
     c = [None] + [counts[m - 1] - 1 - q**m for m in range(1, g + 1)]
     a = [Fraction(1)]
     for m in range(1, g + 1):
@@ -518,11 +517,7 @@ def zeta_curve(curve: CurveSpec, counts=None) -> ZetaRational:
         a.append(q ** (g - i) * a[i])
     if any(x.denominator != 1 for x in a):
         raise ValueError(f"inconsistent point counts for {curve}")
-    p_coeffs = tuple(int(x) for x in a)
-    zeta = ZetaRational((p_coeffs,), ((1, -1), (1, -q)), q)
-    if expected_counts(zeta, g) != counts:
-        raise ValueError(f"point-count reconstruction failed for {curve}")
-    return zeta
+    return ZetaRational((tuple(int(x) for x in a),), ((1, -1), (1, -q)), q)
 
 
 def functional_equation_holds(zeta: ZetaRational, genus: int) -> bool:
@@ -577,20 +572,22 @@ def hasse_bound_holds(curve: CurveSpec, n1: int) -> bool:
 def verify_ff(curve: CurveSpec):
     """(Z(t), checks) for a curve, where checks are ((name, ok), ...)
     on the zeta side alone: the functional equation, the Hasse bound,
-    the counts N_m reproduced from Z(t) for q^m <= COUNT_BOUND, and P(1)
-    against N_1 (genus 1).  Each N_m is counted once: N_1..N_g build
-    Z(t), and the rest are checked against it."""
+    every count reproduced from Z(t), and P(1) against N_1 (genus 1).
+    A curve with q^g > SIZE_BOUND is refused before anything is counted;
+    otherwise each N_m with m <= g or q^m <= COUNT_BOUND is counted once,
+    N_1..N_g build Z(t), and all of them are checked against it."""
     q, g = curve.p, curve.genus
-    max_m = 1
-    while q ** (max_m + 1) <= COUNT_BOUND:
-        max_m += 1
-    counts = [count_points(curve, m) for m in range(1, max(g, max_m) + 1)]
-    zeta = zeta_curve(curve, counts[:g])
-    n1 = counts[0]
+    if q**g > SIZE_BOUND:
+        raise SizeBoundExceeded(f"q^m = {q**g} exceeds {SIZE_BOUND}")
+    top = g
+    while q ** (top + 1) <= COUNT_BOUND:
+        top += 1
+    counts = [count_points(curve, m) for m in range(1, top + 1)]
+    zeta = zeta_curve(curve, counts)
     checks = (
         ("functional equation", functional_equation_holds(zeta, g)),
-        ("Hasse bound", hasse_bound_holds(curve, n1)),
-        ("counts reproduced from Z(t)", expected_counts(zeta, max_m) == counts[:max_m]),
-        ("P(1) recount", g != 1 or curve_class_number(zeta) == n1),
+        ("Hasse bound", hasse_bound_holds(curve, counts[0])),
+        ("counts reproduced from Z(t)", expected_counts(zeta, len(counts)) == counts),
+        ("P(1) recount", g != 1 or curve_class_number(zeta) == counts[0]),
     )
     return zeta, checks

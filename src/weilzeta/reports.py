@@ -56,9 +56,6 @@ class SymbolicValue:
             out *= math.log(p) ** e
         return out
 
-    def __truediv__(self, other: "SymbolicValue") -> "SymbolicValue":
-        return self.divided_by((other,))
-
     def divided_by(self, others) -> "SymbolicValue":
         """self / prod(others), built once: log exponents subtract, the
         mantissa and real factor divide in order, and only the quotient

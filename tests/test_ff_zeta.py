@@ -564,7 +564,7 @@ def test_count_points_full_size_against_closed_points(p, m):
 def test_count_points_extension_consistency():
     # N_m computed by the field machinery must match the zeta prediction
     c = CurveSpec(3, (0, 1, 0, 1))
-    zeta = zeta_curve(c)
+    zeta = zeta_curve(c, [count_points(c, 1)])
     assert expected_counts(zeta, 6) == [count_points(c, m) for m in range(1, 7)]
 
 
@@ -637,14 +637,29 @@ def test_zeta_pn_structure():
     assert expected_counts(zeta, 3) == [13, 91, 757]
 
 
+def zeta_from_counts(c):
+    return zeta_curve(c, [count_points(c, m) for m in range(1, c.genus + 1)])
+
+
 def test_zeta_curve_known_elliptic():
     # y^2 = x^3 + x over F_3: N_1 = 4, P(t) = 1 + 3t^2 (a_1 = 0)
-    zeta = zeta_curve(CurveSpec(3, (0, 1, 0, 1)))
-    assert zeta.numerator_factors == ((1, 0, 3),)
+    c = CurveSpec(3, (0, 1, 0, 1))
+    assert count_points(c, 1) == 4
+    assert zeta_curve(c, [4]).numerator_factors == ((1, 0, 3),)
     # y^2 = x^3 - x over F_5: N_1 = 8, P(t) = 1 + 2t + 5t^2
-    zeta = zeta_curve(CurveSpec(5, (0, -1, 0, 1)))
+    c = CurveSpec(5, (0, -1, 0, 1))
+    assert count_points(c, 1) == 8
+    zeta = zeta_curve(c, [8])
     assert zeta.numerator_factors == ((1, 2, 5),)
     assert curve_class_number(zeta) == 8
+
+
+def test_zeta_curve_reads_only_the_first_genus_counts():
+    c = CurveSpec(5, (0, -1, 0, 1))
+    assert zeta_curve(c, [8, 0, 1]) == zeta_curve(c, [8])
+    # genus 2, q = 7: a_2 = ((N_1 - 8)^2 + N_2 - 50) / 2 must be an integer
+    with pytest.raises(ValueError, match="inconsistent point counts"):
+        zeta_curve(CurveSpec(7, (1, 2, 0, 0, 0, 1)), [8, 51])
 
 
 def test_zeta_curve_functional_equation_and_hasse():
@@ -655,7 +670,7 @@ def test_zeta_curve_functional_equation_and_hasse():
         CurveSpec(7, (1, 2, 0, 0, 0, 1)),
         CurveSpec(5, (1, 0, 1, 0, 0, 0, 0, 1)),  # genus 3
     ):
-        zeta = zeta_curve(c)
+        zeta = zeta_from_counts(c)
         (p_coeffs,) = zeta.numerator_factors
         assert len(p_coeffs) == 2 * c.genus + 1
         assert functional_equation_holds(zeta, c.genus)
@@ -665,7 +680,7 @@ def test_zeta_curve_functional_equation_and_hasse():
 
 def test_expected_counts_against_series_oracle():
     zetas = [zeta_pn(ProjectiveSpace(q, n)) for q in (2, 3, 4, 9, 1048573) for n in range(4)]
-    zetas += [zeta_curve(c) for c in (
+    zetas += [zeta_from_counts(c) for c in (
         CurveSpec(3, (0, 1, 0, 1)), CurveSpec(7, (1, 2, 0, 0, 0, 1)),
         CurveSpec(5, (1, 0, 1, 0, 0, 0, 0, 1)), CurveSpec(101, (5, 0, 1, 0, 0, 0, 0, 1)))]
     rng = random.Random(20261018)
@@ -706,7 +721,7 @@ def test_special_value_p2():
 def test_special_value_elliptic():
     # |c| (q - 1) = P(1)
     c = CurveSpec(5, (0, -1, 0, 1))
-    ord_, lead = special_value_s0(zeta_curve(c))
+    ord_, lead = special_value_s0(zeta_from_counts(c))
     assert ord_ == -1
     assert abs(lead) * 4 == 8
 
@@ -743,6 +758,38 @@ def test_verify_ff_counts_each_m_once(monkeypatch):
     calls.clear()
     verify_ff(CurveSpec(47, (1, 0, 0, 0, 0, 0, 0, 1)))  # genus 3, 47^2 <= 2^16 < 47^3
     assert calls == [1, 2, 3]
+
+
+def test_verify_ff_compares_every_count(monkeypatch):
+    # N_1..N_g build Z(t); a wrong N_g would make a different Z(t) that
+    # the check of the later counts refuses, and a wrong last count is
+    # refused directly
+    c = CurveSpec(3, (0, 1, 0, 1))
+    for wrong in (1, 10):
+        monkeypatch.setattr(ff_zeta, "count_points",
+                            lambda variety, m, wrong=wrong: count_points(variety, m) + (m == wrong))
+        checks = dict(verify_ff(c)[1])
+        assert not checks["counts reproduced from Z(t)"]
+
+
+def test_verify_ff_refuses_genus_3_before_counting(monkeypatch):
+    # 103^3 > 2^20 >= 1021^2: left to count_points, the refusal of m = 3
+    # would come after N_1 was counted and F_{p^2} built and cached
+    calls = []
+
+    def counting(variety, m=1):
+        calls.append(m)
+        return count_points(variety, m)
+
+    monkeypatch.setattr(ff_zeta, "count_points", counting)
+    monkeypatch.setattr(ff_zeta, "_FIELD_CACHE", {})
+    message = f"^q\\^m = {1021**3} exceeds {ff_zeta.SIZE_BOUND}$"
+    with pytest.raises(SizeBoundExceeded, match=message):
+        verify_ff(CurveSpec(1021, (1, 1, 0, 0, 0, 0, 0, 1)))
+    for p in filter(is_prime, range(103, 1022)):  # x^7 + 1 is squarefree mod p != 7
+        with pytest.raises(SizeBoundExceeded, match=f"^q\\^m = {p**3} exceeds"):
+            verify_ff(CurveSpec(p, (1, 0, 0, 0, 0, 0, 0, 1)))
+    assert calls == [] and ff_zeta._FIELD_CACHE == {}
 
 
 # ---------------------------------------------------------------------------
