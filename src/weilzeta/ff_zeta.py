@@ -13,9 +13,11 @@ f has coefficients in F_p, so f(x^p) = f(x)^p has the same character as
 f(x): f is evaluated once per Frobenius orbit (the orbit of g^i is
 g^(i p^j)) and each value is weighted by the orbit size.  The modulus of
 F_{p^k} is the lexicographically minimal monic irreducible, so every
-output is reproducible bit for bit.  The field tables, the orbits, the
-Legendre table and the count over F_p are built BLOCK elements at a
-time, so no temporary array grows with q.
+output is reproducible bit for bit.  A field record is kept from its
+second request on, so a field asked for once is freed with its count.
+The field tables, the orbits, the Legendre table and the counts over F_p
+and F_{p^k} run BLOCK elements at a time, so no temporary array grows
+with q.
 
 The numerator P(t) of a curve's zeta function is reconstructed from the
 counts N_1..N_g via the exponential recursion and completed by the
@@ -45,7 +47,7 @@ PRIME_POWER_BITS = 1024
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_VALUE_DIGITS = 4300  # CPython's default int-to-str limit, fixed whatever the environment sets
-BLOCK = 1 << 14  # elements per block of each table fill and F_p count; a power of 2 (_log_tables)
+BLOCK = 1 << 14  # elements per block of each table fill and count; a power of 2 (_log_tables)
 
 
 class SizeBoundExceeded(ValueError):
@@ -292,15 +294,19 @@ def _frobenius_orbits(p: int, k: int):
     return np.concatenate(reps), np.concatenate(sizes)
 
 
+# (p, k) -> None after its first build, its FiniteField from the second
 _FIELD_CACHE: dict = {}
 
 
 def make_field(p: int, k: int) -> FiniteField:
     """F_{p^k} with the lexicographically smallest monic irreducible
     modulus (coefficients compared from the constant term up), with all
-    of its tables, built once per (p, k)."""
-    if (p, k) in _FIELD_CACHE:
-        return _FIELD_CACHE[(p, k)]
+    of its tables, kept from its second request on: the first build of
+    (p, k) leaves only a marker, so a field asked for once is freed with
+    its caller, and one asked for again is built twice, then cached."""
+    field = _FIELD_CACHE.get((p, k))
+    if field is not None:
+        return field
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if k < 1:
@@ -317,7 +323,7 @@ def make_field(p: int, k: int) -> FiniteField:
     for table in tables:  # the cached record is shared by every caller
         table.flags.writeable = False
     field = FiniteField(p, k, tuple(modulus), *tables)
-    _FIELD_CACHE[(p, k)] = field
+    _FIELD_CACHE[(p, k)] = field if (p, k) in _FIELD_CACHE else None
     return field
 
 
@@ -328,7 +334,9 @@ def legendre(p: int) -> np.ndarray:
     table[0] = 0
     half = (p + 1) // 2
     for start in range(1, half, BLOCK):
-        table[np.arange(start, min(start + BLOCK, half), dtype=np.int64) ** 2 % p] = 1
+        square = np.arange(start, min(start + BLOCK, half), dtype=np.int64) ** 2
+        square -= square // p * p  # square %= p; numpy's // by a scalar is faster
+        table[square] = 1
     return table
 
 
@@ -395,8 +403,8 @@ def count_points(variety, m: int = 1) -> int:
     and deg f is odd, so there is one point at infinity.  f is evaluated
     for m = 1 in int64 residues, one block of x at a time, reduced mod p
     only where the next multiply-add could pass 2^63, and for m >= 2 once
-    per Frobenius orbit on the field's Zech table, in uint32 logs updated
-    in place.
+    per Frobenius orbit on the field's Zech table, one block of orbits at
+    a time, in uint32 logs updated in place.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -414,48 +422,51 @@ def count_points(variety, m: int = 1) -> int:
             top = f[-1]  # the largest value acc can hold
             for c in reversed(f[:-1]):
                 if top * (p - 1) + c >= 2**63:
-                    acc %= p
+                    acc -= acc // p * p  # acc %= p; numpy's // by a scalar is faster
                     top = p - 1
                 acc *= x
                 if c:
                     acc += c
                 top = top * (p - 1) + c
-            acc %= p
+            acc -= acc // p * p
             total += int(chi[acc].sum())
         return total
     field = make_field(p, m)
-    log, zech, reps = field.log, field.zech.view(np.uint32), field.reps.view(np.uint32)
-    n = np.uint32(field.q - 1)
+    log, zech, n = field.log, field.zech.view(np.uint32), np.uint32(field.q - 1)
     # L is log acc at x = g^reps: in [0, n), or above 2^29 where acc = 0
     # (see _ZERO_LOG).  On uint32, v - n wraps above every log for v < n,
     # so reduce takes v in [0, 2n) into [0, n); the index of a zero acc
     # stays above n and clips onto zech[n] = 0, since 0 + c = c.  L and
-    # tmp are the only buffers, and take never writes into its own index
-    # array.
+    # tmp, one block long, are the only buffers, and take never writes
+    # into its own index array.
     def reduce(v, scratch):
         np.subtract(v, n, out=scratch)
         np.minimum(v, scratch, out=v)
 
-    L = np.full(len(reps), log[f[-1]], dtype=np.uint32)
-    tmp = np.empty_like(L)
-    for c in reversed(f[:-1]):
-        np.add(L, reps, out=L)
-        reduce(L, tmp)
-        if c:
-            l = np.uint32(log[c])
-            np.add(L, n - l, out=tmp)
-            reduce(tmp, L)
-            np.take(zech, tmp, mode="clip", out=L)
-            np.add(L, l, out=L)
-            reduce(L, tmp)
-    # chi = (-1)^L, 0 where acc = 0; the orbits cover x != 0, and x = 0
-    # gives f(0)
-    np.bitwise_and(L, 1, out=tmp)
-    chi = 1 - 2 * tmp.astype(np.int8)
-    chi[L >= n] = 0
+    # the orbits cover x != 0, and x = 0 gives f(0)
     chi0 = 1 - 2 * int(log[f[0]] & 1) if f[0] else 0
-    # |size * chi| <= k fits int8; the sum over the orbits does not
-    return field.q + 1 + int((field.sizes * chi).sum(dtype=np.int64)) + chi0
+    total = field.q + 1 + chi0
+    for start in range(0, len(field.reps), BLOCK):
+        reps = field.reps[start:start + BLOCK].view(np.uint32)
+        L = np.full(len(reps), log[f[-1]], dtype=np.uint32)
+        tmp = np.empty_like(L)
+        for c in reversed(f[:-1]):
+            np.add(L, reps, out=L)
+            reduce(L, tmp)
+            if c:
+                l = np.uint32(log[c])
+                np.add(L, n - l, out=tmp)
+                reduce(tmp, L)
+                np.take(zech, tmp, mode="clip", out=L)
+                np.add(L, l, out=L)
+                reduce(L, tmp)
+        # chi = (-1)^L, 0 where acc = 0
+        np.bitwise_and(L, 1, out=tmp)
+        chi = 1 - 2 * tmp.astype(np.int8)
+        chi[L >= n] = 0
+        # |size * chi| <= k fits int8; the sum over a block does not
+        total += int((field.sizes[start:start + BLOCK] * chi).sum(dtype=np.int64))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -248,8 +248,25 @@ def test_make_field_modulus_is_lex_minimal_irreducible():
             assert not irreducible_oracle(cand, p)
 
 
-def test_make_field_caching_and_bounds():
-    assert make_field(3, 2) is make_field(3, 2)
+def test_make_field_caching_and_bounds(monkeypatch):
+    # a field is kept from its second request on: the first leaves a marker
+    monkeypatch.setattr(ff_zeta, "_FIELD_CACHE", {})
+    once = make_field(3, 2)
+    assert ff_zeta._FIELD_CACHE == {(3, 2): None}
+    kept = make_field(3, 2)
+    assert kept is not once and make_field(3, 2) is kept
+    assert ff_zeta._FIELD_CACHE == {(3, 2): kept}
+    # the same count whether the field was marked, kept or served
+    curve = CurveSpec(11, (1, 1, 0, 0, 0, 1))
+    counts = [count_points(curve, 2) for _ in range(3)]
+    assert counts == [closed_point_count_oracle(curve.f, 11, 2)] * 3
+    assert ff_zeta._FIELD_CACHE[(11, 2)] is not None
+    # a genus-2 curve with p^2 > COUNT_BOUND asks for F_{p^2} once
+    ff_zeta._FIELD_CACHE.clear()
+    primes = [p for p in range(257, 1022) if is_prime(p)][:10]
+    for p in primes:
+        verify_ff(CurveSpec(p, (1, 1, 0, 0, 0, 1)))
+    assert ff_zeta._FIELD_CACHE == {(p, 2): None for p in primes}
     with pytest.raises(SizeBoundExceeded):
         make_field(2, 21)
     with pytest.raises(ValueError):
@@ -330,6 +347,16 @@ def test_cold_field_build_keeps_transients_to_blocks(monkeypatch, p, k):
 def test_prime_field_count_keeps_transients_to_blocks():
     # the whole-array count peaked at 25.0 MiB
     assert traced_peak(lambda: count_points(CurveSpec(1048573, (1, 1, 0, 1)), 1)) < 4
+
+
+@pytest.mark.parametrize("p, m, f", [(1021, 2, (1, 1, 0, 0, 0, 1)),
+                                     (101, 3, (1, 1, 0, 0, 0, 0, 0, 1))])
+def test_extension_count_keeps_transients_to_blocks(monkeypatch, p, m, f):
+    # the whole-array count over a cached field peaked at 7.96 and 5.24 MiB
+    monkeypatch.setattr(ff_zeta, "_FIELD_CACHE", {})
+    make_field(p, m)
+    make_field(p, m)  # kept from here on
+    assert traced_peak(lambda: count_points(CurveSpec(p, f), m)) < 1
 
 
 def test_is_prime_against_sieve():
@@ -774,7 +801,8 @@ def test_verify_ff_compares_every_count(monkeypatch):
 
 def test_verify_ff_refuses_genus_3_before_counting(monkeypatch):
     # 103^3 > 2^20 >= 1021^2: left to count_points, the refusal of m = 3
-    # would come after N_1 was counted and F_{p^2} built and cached
+    # would come after N_1 was counted and F_{p^2} built, which leaves at
+    # least a marker in the cache
     calls = []
 
     def counting(variety, m=1):
