@@ -3,10 +3,10 @@
 # For a curve y^2 = f(x) over F_p the zeta function is the rational
 # function P(t) / ((1-t)(1-pt)) with P of degree twice the genus.  The
 # package reconstructs P from the first g point counts and completes it
-# by the functional equation; verify_ff then checks every count it made
-# against Z(t), the Hasse bound, and the special value identity
-# |zeta*(0)| (q-1) = P(1) relating the leading coefficient at s=0 to the
-# divisor class number.
+# by the functional equation; verify_ff then checks the Hasse bound and
+# every count it made against Z(t), and ff_report the special value
+# identity |zeta*(0)| (q-1) = P(1) relating the leading coefficient at
+# s=0 to the divisor class number.
 
 from weilzeta import (
     CurveSpec,
@@ -38,9 +38,10 @@ print("ord at s=0:", ord_, " zeta*(0) =", c, "* ln(5)^", ord_)
 print("|c| (q-1) =", abs(c) * 4, " (must equal P(1))")
 
 # A genus 2 curve.  Here two counts are needed and the functional
-# equation fills in the top half of P.  verify_ff runs the checks of the
-# zeta side; ff_report compares that side with the prediction rho = -1,
-# |c| = P(1)/(q-1), and names any failed check in its caveats.
+# equation fills in the top half of P.  verify_ff runs the two checks of
+# the zeta side, the Hasse bound and the count reproduction; ff_report
+# compares that side with the prediction rho = -1, |c| = P(1)/(q-1), and
+# names any failed check in its caveats.
 
 quintic = CurveSpec(7, (1, 2, 0, 0, 0, 1))  # y^2 = x^5 + 2x + 1
 zeta, checks = verify_ff(quintic)

@@ -98,8 +98,8 @@ def curve_panel():
 
 
 def check_curves():
-    """Criterion 4: exact functional equation, Hasse bound, count
-    reproduction up to p^m <= 2^16, and |zeta*|(q-1) = P(1); < 30 s."""
+    """Criterion 4: Hasse bound, exact count reproduction up to
+    p^m <= 2^16, and |zeta*|(q-1) = P(1); < 30 s."""
     start = time.perf_counter()
     panel = curve_panel()
     per_prime = {}

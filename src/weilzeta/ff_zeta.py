@@ -20,10 +20,10 @@ and F_{p^k} run BLOCK elements at a time, so no temporary array grows
 with q.
 
 The numerator P(t) of a curve's zeta function is reconstructed from the
-counts N_1..N_g via the exponential recursion and completed by the
-functional equation.  verify_ff refuses q^g > SIZE_BOUND before it
-counts, and compares every count it makes with the counts that Newton's
-identities read off Z(t).
+counts N_1..N_g via the exponential recursion, in integers, and
+completed by the functional equation.  verify_ff refuses q^g >
+SIZE_BOUND before it counts, and compares every count it makes, N_1..N_g
+included, with the counts that Newton's identities read off Z(t).
 """
 
 from __future__ import annotations
@@ -517,26 +517,18 @@ def zeta_curve(curve: CurveSpec, counts) -> ZetaRational:
 
     P is determined by N_1..N_g through m a_m = sum c_i a_{m-i},
     c_i = N_i - 1 - q^i, and completed by the functional equation
-    a_{2g-i} = q^(g-i) a_i.
+    a_{2g-i} = q^(g-i) a_i.  The division by m is floor division: counts
+    that no curve has make a step inexact, and then Z(t) does not
+    reproduce them (expected_counts).
     """
     q, g = curve.p, curve.genus
     c = [None] + [counts[m - 1] - 1 - q**m for m in range(1, g + 1)]
-    a = [Fraction(1)]
+    a = [1]
     for m in range(1, g + 1):
-        a.append(sum(c[i] * a[m - i] for i in range(1, m + 1)) / m)
+        a.append(sum(c[i] * a[m - i] for i in range(1, m + 1)) // m)
     for i in range(g - 1, -1, -1):
         a.append(q ** (g - i) * a[i])
-    if any(x.denominator != 1 for x in a):
-        raise ValueError(f"inconsistent point counts for {curve}")
-    return ZetaRational((tuple(int(x) for x in a),), ((1, -1), (1, -q)), q)
-
-
-def functional_equation_holds(zeta: ZetaRational, genus: int) -> bool:
-    """P(t) = q^g t^(2g) P(1/(qt)) as an exact polynomial identity."""
-    (p_coeffs,) = zeta.numerator_factors
-    q, g = zeta.q, genus
-    return len(p_coeffs) == 2 * g + 1 and all(
-        p_coeffs[2 * g - i] * q**i == q**g * p_coeffs[i] for i in range(2 * g + 1))
+    return ZetaRational((tuple(a),), ((1, -1), (1, -q)), q)
 
 
 def curve_class_number(zeta: ZetaRational) -> int:
@@ -582,11 +574,12 @@ def hasse_bound_holds(curve: CurveSpec, n1: int) -> bool:
 
 def verify_ff(curve: CurveSpec):
     """(Z(t), checks) for a curve, where checks are ((name, ok), ...)
-    on the zeta side alone: the functional equation, the Hasse bound,
-    every count reproduced from Z(t), and P(1) against N_1 (genus 1).
-    A curve with q^g > SIZE_BOUND is refused before anything is counted;
-    otherwise each N_m with m <= g or q^m <= COUNT_BOUND is counted once,
-    N_1..N_g build Z(t), and all of them are checked against it."""
+    on the zeta side alone: the Hasse bound and every count reproduced
+    from Z(t).  A curve with q^g > SIZE_BOUND is refused before anything
+    is counted; otherwise each N_m with m <= g or q^m <= COUNT_BOUND is
+    counted once, N_1..N_g build Z(t), and all of them are checked
+    against it: if the first inexact step of zeta_curve's recursion is
+    m, Newton's identities put a wrong N_m back."""
     q, g = curve.p, curve.genus
     if q**g > SIZE_BOUND:
         raise SizeBoundExceeded(f"q^m = {q**g} exceeds {SIZE_BOUND}")
@@ -596,9 +589,7 @@ def verify_ff(curve: CurveSpec):
     counts = [count_points(curve, m) for m in range(1, top + 1)]
     zeta = zeta_curve(curve, counts)
     checks = (
-        ("functional equation", functional_equation_holds(zeta, g)),
         ("Hasse bound", hasse_bound_holds(curve, counts[0])),
         ("counts reproduced from Z(t)", expected_counts(zeta, len(counts)) == counts),
-        ("P(1) recount", g != 1 or curve_class_number(zeta) == counts[0]),
     )
     return zeta, checks

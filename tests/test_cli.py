@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from weilzeta import ff_zeta, number_field, reports
+from weilzeta.acceptance import curve_panel
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import MAX_ABS_DISC, NumberFieldInvariants, quad_invariants
@@ -281,6 +283,42 @@ def test_cli_ff_verbs():
     code, out, _ = cli("ff", "curve", "--p", "7", "--f", "x^3+x+1", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
+
+
+# genus 1-3 curves at large p, each up to the size bound of its genus
+LARGE_P_CURVES = (
+    (4099, "x^3-x"), (65521, "x^3+x+1"), (524287, "2x^3+5x+7"), (1048573, "x^3+x+1"),
+    (251, "x^5+x+1"), (541, "x^5-2x+3"), (1021, "x^5+3x^2+1"),
+    (13, "x^7+x+1"), (31, "x^7+x+1"), (97, "x^7+2x^3+5"), (101, "x^7+x+1"),
+)
+
+
+def test_cli_ff_curve_output_is_byte_identical():
+    # sha256 over (argv, exit code, stdout, stderr) of criterion 4's panel,
+    # LARGE_P_CURVES in text and JSON, and a refused genus-3 curve, taken
+    # from the Fraction recursion of zeta_curve that preceded the integer one
+    argvs = [("ff", "curve", "--p", str(c.p), "--f", poly_to_str(c.f)) for c in curve_panel()]
+    for p, f in LARGE_P_CURVES:
+        argvs += [("ff", "curve", "--p", str(p), "--f", f),
+                  ("ff", "curve", "--p", str(p), "--f", f, "--json")]
+    argvs.append(("ff", "curve", "--p", "1031", "--f", "x^7+x+1"))
+    h = hashlib.sha256()
+    for argv in argvs:
+        h.update(repr((argv, *cli(*argv))).encode())
+    assert h.hexdigest() == "1c704c8adc4e5368890c9014cdfdd1eb96bc01ad8e949c8fca61777855a574b8"
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_cli_ff_curve_counting_defect_is_fail(monkeypatch, p):
+    # a wrong N_3 that keeps the Hasse bound makes zeta_curve's last step
+    # inexact: the verdict is FAIL (exit 2), not a usage error (exit 1)
+    count = ff_zeta.count_points
+    monkeypatch.setattr(ff_zeta, "count_points",
+                        lambda variety, m: count(variety, m) + 2 * (m == 3))
+    code, out, err = cli("ff", "curve", "--p", str(p), "--f", "x^7+x+1")
+    assert (code, err) == (2, "")
+    assert "failed: counts reproduced from Z(t)" in out
+    assert out.endswith("verdict:           FAIL\n")
 
 
 def test_cli_open_pipeline(tmp_path):
