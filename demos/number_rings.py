@@ -13,7 +13,7 @@ import math
 from weilzeta import dedekind_leading_at_0, quad_invariants
 from weilzeta.number_field import is_fundamental
 from weilzeta.reports import numberring_report
-from weilzeta.weil_tables import numberring_compact_table
+from weilzeta.weil_tables import pn_of_table
 
 # The Gaussian integers first.  Class number 1, four roots of unity, no
 # fundamental unit, so the prediction is zeta*(0) = -1/4 with no zero.
@@ -21,7 +21,7 @@ from weilzeta.weil_tables import numberring_compact_table
 inv = quad_invariants(-4)
 print("Z[i]:", inv)
 
-table = numberring_compact_table(inv)
+table = pn_of_table(inv, 0)  # P^0 over Z[i] is Spec Z[i]
 print("compact-support Weil-etale table:")
 for i in table.degrees():
     g = table[i]

@@ -4,20 +4,21 @@
 # Over a finite field both sides of the special-value conjecture are
 # rational numbers, so the comparison is exact.  Over a number ring the
 # determinant side would need K-theory torsion and zeta values at
-# negative integers, but the rank side is already a theorem: the
-# alternating sum of motivic cohomology dimensions equals the vanishing
+# negative integers, but the rank side is already a theorem: the rank
+# Euler characteristic of the Weil-etale table equals the vanishing
 # order of zeta(P^n, s) at s=0.  This script exercises both.
 
 from weilzeta import (
     ProjectiveSpace,
     pn_fq_table,
+    pn_of_table,
     quad_invariants,
     rank_weighted_euler,
     special_value_s0,
     torsion_euler,
     zeta_pn,
 )
-from weilzeta.motivic_rank import pn_of_order, soule_rank
+from weilzeta.motivic_rank import pn_of_order
 from weilzeta.number_field import RATIONALS
 from weilzeta.reports import ff_report
 
@@ -41,17 +42,25 @@ print("cohomology side: ord", rank_weighted_euler(table),
       " |c| =", torsion_euler(table))
 print("verdict:", ff_report(space).verdict)  # compares the two
 
-# Over a number ring the ranks come from Borel's theorem on
-# K_{2r-1}(O_F) and the orders from the functional equation of the
-# shifted Dedekind factors.  Their equality degree by degree is the
-# rank part of the conjecture for P^n over O_F.
+# Over a number ring the table of P^n is a sum of shifted copies of the
+# number-ring table, one per twist j = 0..n, with the Borel rank of
+# K_{2j+1}(O_F) in degrees 2j+1 and 2j+2; each twist adds that rank to
+# the rank Euler characteristic.  The zeta side sums the vanishing
+# orders of the shifted Dedekind factors zeta_F(s - j) at s=0 from
+# their functional equations.  Their equality is the rank part of the
+# conjecture for P^n over O_F.
 
-print("\nrank identity for P^n over O_F (soule rank = sum of zeta orders):")
-print("   disc   n  motivic  analytic")
+print("\nP^1 over Z[i] (torsion of K_2 unknown):")
+for i, g in sorted(pn_of_table(quad_invariants(-4), 1).entries.items()):
+    known = "" if g.torsion_known else " (unknown)"
+    print(f"  H^{i}: rank {g.rank}, torsion order {g.torsion_order}{known}")
+
+print("\nrank identity for P^n over O_F (table rank = sum of zeta orders):")
+print("   disc   n    table  analytic")
 for d in (1, -4, -23, 5, 12):
     inv = RATIONALS if d == 1 else quad_invariants(d)
     for n in range(4):
-        lhs = soule_rank(inv, n)
+        lhs = rank_weighted_euler(pn_of_table(inv, n))
         rhs = pn_of_order(inv, n)
         mark = "" if lhs == rhs else "  MISMATCH"
         print(f"{d:>7} {n:>3} {lhs:>8} {rhs:>9}{mark}")

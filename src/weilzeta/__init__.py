@@ -14,11 +14,11 @@ _EXPORTS = {
     "ff_zeta": "CurveSpec FiniteField ProjectiveSpace ZetaRational count_points "
                "curve_class_number make_field special_value_s0 verify_ff zeta_curve zeta_pn",
     "lfunc": "character_table dedekind_leading_at_0 l_at_0 l_prime_at_0",
-    "motivic_rank": "borel_dim pn_of_order soule_rank zeta_order_at",
+    "motivic_rank": "borel_dim pn_of_order zeta_order_at",
     "number_field": "NumberFieldInvariants RATIONALS class_number_imaginary class_number_real "
                     "fundamental_discriminant fundamental_unit_real load_invariants quad_invariants",
     "reports": "SymbolicValue VerificationReport emit_report parse_report",
-    "weil_tables": "numberring_compact_table pn_fq_table pn_of_table",
+    "weil_tables": "pn_fq_table pn_of_table",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -12,9 +12,9 @@ import time
 from fractions import Fraction
 
 from . import ff_zeta, weil_tables
-from .fgab import IntMatrix, smith_normal_form
+from .fgab import IntMatrix, rank_weighted_euler, smith_normal_form
 from .lfunc import dedekind_leading_at_0
-from .motivic_rank import pn_of_order, soule_rank
+from .motivic_rank import pn_of_order
 from .number_field import RATIONALS, quad_invariants
 from .reports import (
     PASS,
@@ -120,13 +120,14 @@ def check_curves():
 
 
 def check_pn_rank_identity():
-    """Criterion 5: soule_rank = pn_of_order for the suite, n <= 6."""
+    """Criterion 5: the rank Euler characteristic of the P^n table equals
+    pn_of_order, the sum of zeta vanishing orders, for the suite, n <= 6."""
     start = time.perf_counter()
     bad = []
     for d in (1, *NUMBER_RING_SUITE):
         inv = quad_invariants(d)
         for n in range(7):
-            lhs = soule_rank(inv, n)
+            lhs = rank_weighted_euler(weil_tables.pn_of_table(inv, n))
             rhs = pn_of_order(inv, n)
             if lhs != rhs:
                 bad.append((d, n, lhs, rhs))

@@ -1,11 +1,12 @@
-"""Rank side of the vanishing-order prediction for number rings and
+"""Borel dimensions and zeta vanishing orders for number rings and
 projective spaces over them.
 
-Motivic cohomology dimensions are table-driven via Borel's theorem:
 dim H^1(O_F, Q(r)) = rank K_{2r-1}(O_F), which is r1+r2-1 for r=1, r2 for
-even r, and r1+r2 for odd r >= 3.  All other degrees vanish (class groups
-are finite).  Projective spaces reduce to the base ring degree by degree
-through the projective bundle decomposition.
+even r, and r1+r2 for odd r >= 3 (Borel); ``weil_tables.pn_of_table``
+places these ranks in its shifted twists, and the rank prediction is that
+table's rank Euler characteristic.  The analytic side here is the order of
+zeta_F at s = -j from the functional equation, summed over the shifted
+Dedekind factors of zeta(P^n_{O_F}).
 """
 
 from __future__ import annotations
@@ -30,19 +31,6 @@ def zeta_order_at(inv: NumberFieldInvariants, j: int) -> int:
     if j == 0:
         return inv.r1 + inv.r2 - 1
     return inv.r2 if j % 2 == 1 else inv.r1 + inv.r2
-
-
-def soule_rank(inv: NumberFieldInvariants, n: int) -> int:
-    """Alternating sum over j of (-1)^(j+1) dim H^j(X, Q(d)) for X = P^n
-    over O_F, d = dim X = n + 1 (n = 0 is the ring itself).
-
-    The dimensions decompose through the projective bundle into
-    base-ring groups H^(j-2k)(O_F, Q(n+1-k)); only the degree-1 groups
-    survive, so the sum is a sum of Borel ranks.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return sum(borel_dim(inv, r) for r in range(1, n + 2))
 
 
 def pn_of_order(inv: NumberFieldInvariants, n: int) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import ff_zeta, weil_tables
 from .fgab import rank_weighted_euler, torsion_euler
 from .lfunc import AnalyticSideUnavailable, dedekind_leading_at_0
-from .motivic_rank import pn_of_order, soule_rank
+from .motivic_rank import pn_of_order
 from .number_field import NumberFieldInvariants
 
 PASS = "PASS"
@@ -242,11 +242,13 @@ def decide(checks, inputs=(), ok=PASS):
 
 def numberring_report(inv: NumberFieldInvariants,
                       object_name: str | None = None) -> VerificationReport:
-    """Compare the cohomological prediction (ord = r1+r2-1, -hR/w) with
-    the analytic side computed from L-values at s=0."""
-    table = weil_tables.numberring_compact_table(inv)
+    """Compare the prediction read off the table of P^0 = Spec O_F (ord =
+    rank Euler characteristic = r1+r2-1, value = -(torsion Euler
+    characteristic) R = -hR/w) with the analytic side computed from
+    L-values at s=0."""
+    table = weil_tables.pn_of_table(inv, 0)
     rank = rank_weighted_euler(table)
-    predicted = SymbolicValue(Fraction(-inv.h, inv.w), {}, inv.R)
+    predicted = SymbolicValue(-torsion_euler(table), {}, inv.R)
     try:
         ord_, value = dedekind_leading_at_0(inv)
     except AnalyticSideUnavailable as exc:
@@ -278,21 +280,22 @@ def numberring_report(inv: NumberFieldInvariants,
 
 def pn_of_report(inv: NumberFieldInvariants, n: int,
                  k_torsion: dict | None = None) -> VerificationReport:
-    """Rank identity for P^n over a number ring: the motivic alternating
-    sum must equal the sum of zeta vanishing orders.  The determinant
-    side needs K-theory torsion plus zeta values off s=0 and is reported
+    """Rank identity for P^n over a number ring: the rank Euler
+    characteristic of pn_of_table must equal the sum of zeta vanishing
+    orders, the same rule as numberring and ff pn.  The determinant side
+    needs K-theory torsion plus zeta values off s=0 and is reported
     rank-only.  The table checks n and the K-torsion indices first, so
     for n = 0 every index is refused."""
     table = weil_tables.pn_of_table(inv, n, k_torsion)
     if n == 0:
         return numberring_report(inv, object_name=f"P^0 over O_F, disc {inv.disc}")
-    rank = soule_rank(inv, n)
+    rank = rank_weighted_euler(table)
     order = pn_of_order(inv, n)
     caveats = list(table.caveats)
     if weil_tables.UNKNOWN_TORSION_CAVEAT not in caveats:
         caveats.append("analytic determinant unavailable for n >= 1")
     verdict, failed = decide(
-        (("Soule rank equals the sum of zeta vanishing orders", rank == order),), ok=RANK_ONLY)
+        (("vanishing order equals rank Euler characteristic", rank == order),), ok=RANK_ONLY)
     return VerificationReport(
         object=f"P^{n} over O_F, disc {inv.disc}",
         invariants=_invariants_dict(inv),

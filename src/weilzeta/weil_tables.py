@@ -1,14 +1,11 @@
 """Weil-etale cohomology tables for the proven verification cases.
 
-Number rings: H^0 = Z, H^1 = 0, H^2 an extension of Hom(units, Z) by the
-dual of the class group, H^3 the dual of the roots of unity.  The
-compact-support variant differs only in low degrees, through the long
-exact sequence against the archimedean fiber Z^(r1+r2) with the diagonal
-map in degree 0.
-
-Projective spaces over a number ring extend the same pattern with
-K-theory of the base (2-torsion neglected throughout); K-group torsion is
-not computed here and stays explicitly "unknown" unless supplied.
+Number rings and projective spaces over them share one builder,
+``pn_of_table``: the compact-support table of P^n over O_F is a sum of
+shifted copies of the number-ring pattern, one per twist j = 0..n, and
+P^0 is Spec O_F itself.  K-group torsion beyond the class group and the
+roots of unity is not computed here and stays explicitly "unknown"
+unless supplied; for n >= 1 the table is stated mod 2-torsion.
 
 Projective spaces over F_q get the table whose Euler characteristics
 reproduce the exact zeta special value (the zeta side is the oracle).
@@ -17,7 +14,7 @@ reproduce the exact zeta special value (the zeta side is the oracle).
 from __future__ import annotations
 
 from .ff_zeta import ProjectiveSpace
-from .fgab import FgAb, GradedTable, Z, extend
+from .fgab import FgAb, GradedTable, Z
 from .motivic_rank import borel_dim
 from .number_field import NumberFieldInvariants
 
@@ -29,47 +26,41 @@ UNKNOWN_TORSION_CAVEAT = "k-torsion unknown"
 MAX_PN_OF_N = 10**4
 
 
-def numberring_compact_table(inv: NumberFieldInvariants) -> GradedTable:
-    """Compact-support table from the long exact sequence against
-    R Gamma(X_infty) = Z^(r1+r2) in degree 0: the diagonal Z -> Z^(r1+r2)
-    is injective with a free quotient of rank r1+r2-1."""
-    h2 = extend(FgAb(0, inv.h), FgAb(inv.unit_rank, 1))
-    return GradedTable(
-        {1: FgAb(inv.unit_rank, 1), 2: h2, 3: FgAb(0, inv.w)}, dim=1
-    )
-
-
 def pn_of_table(
     inv: NumberFieldInvariants, n: int, k_torsion: dict | None = None
 ) -> GradedTable:
-    """H^i_W table of P^n over O_F, 2-torsion neglected.
+    """H^i_{W,c} table of P^n over O_F: a sum of shifted copies of the
+    number-ring pattern, one per twist j = 0..n.  Twist j puts Z^(b_j),
+    b_j = borel_dim(inv, j+1), in degree 2j+1, an extension of Z^(b_j) by
+    the dual of the K_{2j}-torsion in degree 2j+2, and the dual of the
+    K_{2j+1}-torsion in degree 2j+3, where it meets the Z^(b_{j+1}) of
+    twist j+1 (ranks add, orders multiply, as in ``fgab.extend``).  Each
+    twist adds -(2j+1) b_j + (2j+2) b_j = b_j to the rank Euler
+    characteristic.  The placement follows the projective bundle formula;
+    P^0 is Spec O_F, whose table comes from the long exact sequence
+    against R Gamma(X_infty) = Z^(r1+r2).
 
-    Degree 2j+2 is an extension of Hom(K_{2j+1}(O_F), Z) by the dual of
-    the K_{2j}-torsion; degree 2j+3 is the dual of the K_{2j+1}-torsion.
     ``k_torsion`` maps K-group index m to its (torsion) order: m = 2j for
     |K_{2j}| and m = 2j+1 for |K_{2j+1,tors}|, for 1 <= j <= n.  The j=0
     orders are the class number and root-of-unity count from ``inv``.
-    Missing orders are flagged unknown rather than silently 1.
+    Missing orders are flagged unknown rather than silently 1.  For
+    n >= 1 the table is stated mod 2-torsion.
     """
     if not 0 <= n <= MAX_PN_OF_N:
         raise ValueError(f"n must be in 0..{MAX_PN_OF_N}, got {n}")
-    k_torsion = dict(k_torsion or {})
-    bad = [m for m in k_torsion if not 2 <= m <= 2 * n + 1]
+    bad = [m for m in k_torsion or {} if not 2 <= m <= 2 * n + 1]
     if bad:
         raise ValueError(f"k-torsion indices out of range for n={n}: {bad}")
-    k_torsion[0] = inv.h
-    k_torsion[1] = inv.w
+    orders = {0: inv.h, 1: inv.w, **(k_torsion or {})}
 
-    entries = {0: Z}
-    for j in range(n + 1):
-        even = k_torsion.get(2 * j)
-        odd = k_torsion.get(2 * j + 1)
-        sub = FgAb(0, even) if even else FgAb(0, 1, False)
-        entries[2 * j + 2] = extend(sub, FgAb(borel_dim(inv, j + 1), 1))
-        entries[2 * j + 3] = FgAb(0, odd) if odd else FgAb(0, 1, False)
-    table = GradedTable(entries, dim=n + 1, caveats=(MOD2_CAVEAT,))
+    top = 2 * n + 3
+    entries = {1: FgAb(borel_dim(inv, 1))}
+    for i in range(2, top + 1):
+        t = orders.get(i - 2)  # K_m-torsion in degree m + 2
+        entries[i] = FgAb(borel_dim(inv, (i + 1) // 2) if i < top else 0, t or 1, bool(t))
+    table = GradedTable(entries, dim=n + 1, caveats=(MOD2_CAVEAT,) if n else ())
     if table.has_unknown_torsion():
-        table.caveats = (MOD2_CAVEAT, UNKNOWN_TORSION_CAVEAT)
+        table.caveats += (UNKNOWN_TORSION_CAVEAT,)
     return table
 
 

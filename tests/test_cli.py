@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from weilzeta import ff_zeta, number_field, reports
-from weilzeta.acceptance import curve_panel
+from weilzeta.acceptance import NUMBER_RING_SUITE, curve_panel
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import MAX_ABS_DISC, NumberFieldInvariants, quad_invariants
@@ -293,6 +293,13 @@ LARGE_P_CURVES = (
 )
 
 
+def _cli_digest(argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        h.update(repr((argv, *cli(*argv))).encode())
+    return h.hexdigest()
+
+
 def test_cli_ff_curve_output_is_byte_identical():
     # sha256 over (argv, exit code, stdout, stderr) of criterion 4's panel,
     # LARGE_P_CURVES in text and JSON, and a refused genus-3 curve, taken
@@ -302,10 +309,32 @@ def test_cli_ff_curve_output_is_byte_identical():
         argvs += [("ff", "curve", "--p", str(p), "--f", f),
                   ("ff", "curve", "--p", str(p), "--f", f, "--json")]
     argvs.append(("ff", "curve", "--p", "1031", "--f", "x^7+x+1"))
-    h = hashlib.sha256()
-    for argv in argvs:
-        h.update(repr((argv, *cli(*argv))).encode())
-    assert h.hexdigest() == "1c704c8adc4e5368890c9014cdfdd1eb96bc01ad8e949c8fca61777855a574b8"
+    assert _cli_digest(argvs) == "1c704c8adc4e5368890c9014cdfdd1eb96bc01ad8e949c8fca61777855a574b8"
+
+
+# Q, the 13 fields of criterion 1 and two fields with |D| near 10^6
+NUMBER_RING_DISCS = (1, *NUMBER_RING_SUITE, -999995, 1000001)
+
+
+def test_cli_number_ring_output_is_byte_identical():
+    # numberring and pn-of --n 0 in text and JSON, and criterion 3's ff pn
+    # panel, taken before both number-ring verbs built their table with
+    # the one shifted-twist builder
+    argvs = [(verb, "--disc", str(d), *n, *fmt)
+             for d in NUMBER_RING_DISCS
+             for verb, n in (("numberring", ()), ("pn-of", ("--n", "0")))
+             for fmt in ((), ("--json",))]
+    argvs += [("ff", "pn", "--q", str(q), "--n", str(n), *fmt)
+              for q in (2, 3, 4, 5, 7, 8, 9) for n in range(4) for fmt in ((), ("--json",))]
+    assert _cli_digest(argvs) == "5bdf2fc9a0b622ed899ea2e0b84ad21d7e2a8d5a2ee4fbb51498dd12ab157857"
+
+
+def test_cli_pn_of_output_is_byte_identical():
+    # pn-of --n 1..6 JSON: the shifted-twist table, whose rank Euler
+    # characteristic is rank_predicted
+    argvs = [("pn-of", "--disc", str(d), "--n", str(n), "--json")
+             for d in NUMBER_RING_DISCS for n in range(1, 7)]
+    assert _cli_digest(argvs) == "b54f1b05c5952f1a46663b2330e36b2fb9555bf07c8ad2baca1d6b3028856d91"
 
 
 @pytest.mark.parametrize("p", [31, 101])

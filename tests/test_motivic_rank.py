@@ -1,7 +1,9 @@
 import pytest
 
-from weilzeta.motivic_rank import borel_dim, pn_of_order, soule_rank, zeta_order_at
+from weilzeta.fgab import rank_weighted_euler
+from weilzeta.motivic_rank import borel_dim, pn_of_order, zeta_order_at
 from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
+from weilzeta.weil_tables import pn_of_table
 
 FUNDAMENTAL = [d for d in range(-60, 60) if d not in (0, 1) and is_fundamental(d)]
 
@@ -43,17 +45,20 @@ def test_zeta_order_rationals():
 
 
 def test_soule_rank_number_ring_is_unit_rank():
+    # the Soule rank is the rank Euler characteristic of the P^n table
     for d in FUNDAMENTAL:
         inv = quad_invariants(d)
-        assert soule_rank(inv, 0) == inv.unit_rank
+        assert rank_weighted_euler(pn_of_table(inv, 0)) == inv.unit_rank
 
 
 def test_soule_rank_equals_pn_of_order():
-    # the central rank identity: cohomological rank = analytic order
+    # the central rank identity: cohomological rank = analytic order; the
+    # table's rank is the Soule sum, one Borel rank per twist
     for d in [1] + FUNDAMENTAL:
         inv = RATIONALS if d == 1 else quad_invariants(d)
         for n in range(0, 7):
-            assert soule_rank(inv, n) == pn_of_order(inv, n)
+            soule = sum(borel_dim(inv, r) for r in range(1, n + 2))
+            assert rank_weighted_euler(pn_of_table(inv, n)) == soule == pn_of_order(inv, n)
 
 
 def test_pn_of_order_degree_sum():
@@ -66,6 +71,6 @@ def test_pn_of_order_degree_sum():
 
 def test_soule_rank_and_pn_of_order_reject_negative_n():
     with pytest.raises(ValueError):
-        soule_rank(RATIONALS, -1)
+        pn_of_table(RATIONALS, -1)
     with pytest.raises(ValueError):
         pn_of_order(RATIONALS, -1)

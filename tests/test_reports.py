@@ -24,9 +24,10 @@ from weilzeta.reports import (
     pn_of_report,
 )
 from weilzeta import ff_zeta, reports
+from weilzeta.acceptance import NUMBER_RING_SUITE
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.lfunc import dedekind_leading_at_0
-from weilzeta.number_field import quad_invariants
+from weilzeta.number_field import RATIONALS, quad_invariants
 
 
 def test_symbolic_numeric():
@@ -126,6 +127,27 @@ def test_exit_codes():
 )
 def test_json_roundtrip(report):
     assert parse_report(emit_report(report, as_json=True)) == report
+
+
+def test_every_table_report_reads_its_prediction_off_its_table():
+    # numberring for Q and the criterion-1 fields, pn-of for n <= 6 with and
+    # without K-torsion, criterion 3's ff pn panel: every report kind with
+    # a weil_table.  The JSON table alone gives rank_predicted (sum of
+    # (-1)^i i rank_i) and, for number rings, |mantissa| (prod of
+    # torsion_order_i^((-1)^i)).
+    fields = [RATIONALS] + [quad_invariants(d) for d in NUMBER_RING_SUITE]
+    panel = [numberring_report(inv) for inv in fields]
+    panel += [pn_of_report(inv, n) for inv in fields for n in range(7)]
+    panel += [pn_of_report(inv, n, {2: 24, 3: 2}) for inv in fields for n in range(1, 7)]
+    panel += [ff_report(ProjectiveSpace(q, n)) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(4)]
+    for report in panel:
+        payload = json.loads(emit_report(report, as_json=True))
+        entries = {int(i): g for i, g in payload["weil_table"]["entries"].items()}
+        assert payload["rank_predicted"] == sum((-1) ** i * i * g["rank"] for i, g in entries.items())
+        if report.object.startswith(("Spec O_F", "P^0 over O_F")):
+            torsion = math.prod(Fraction(int(g["torsion_order"])) ** (-1) ** i
+                                for i, g in entries.items())
+            assert abs(report.special_value_predicted.mantissa) == torsion
 
 
 def test_human_output_mentions_verdict_and_table():
@@ -295,4 +317,4 @@ def test_pn_of_report_own_fail_is_named(monkeypatch):
     monkeypatch.setattr(reports, "pn_of_order", lambda inv, n: -7)
     report = pn_of_report(quad_invariants(-4), 1)
     assert report.verdict == FAIL
-    assert report.caveats[-1] == "failed: Soule rank equals the sum of zeta vanishing orders"
+    assert report.caveats[-1] == "failed: vanishing order equals rank Euler characteristic"

@@ -4,16 +4,11 @@ import pytest
 
 from weilzeta.ff_zeta import ProjectiveSpace
 from weilzeta.fgab import FgAb, GradedTable, Z, rank_weighted_euler, torsion_euler
-from weilzeta.number_field import is_fundamental, quad_invariants
-from weilzeta.weil_tables import (
-    MOD2_CAVEAT,
-    UNKNOWN_TORSION_CAVEAT,
-    numberring_compact_table,
-    pn_fq_table,
-    pn_of_table,
-)
+from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
+from weilzeta.weil_tables import MOD2_CAVEAT, UNKNOWN_TORSION_CAVEAT, pn_fq_table, pn_of_table
 
 FUNDAMENTAL = [d for d in range(-60, 60) if d not in (0, 1) and is_fundamental(d)]
+FIELDS = [RATIONALS] + [quad_invariants(d) for d in FUNDAMENTAL]
 
 
 def plain_table(inv):
@@ -23,11 +18,9 @@ def plain_table(inv):
 
 
 def test_pn_of_table_n0_gaussian():
-    # Z[i]: H^0 = Z, H^2 = 0, H^3 = Z/4
+    # Z[i], compact support: H^1 = Z^0, H^2 = Cl = 0, H^3 = Z/4, no H^0
     table = pn_of_table(quad_invariants(-4), 0)
-    assert table[0].rank == 1 and table[0].torsion_order == 1
-    assert table[1].is_trivial
-    assert table[2].is_trivial
+    assert table.degrees() == [3]
     assert (table[3].rank, table[3].torsion_order) == (0, 4)
 
 
@@ -46,10 +39,9 @@ def test_pn_of_table_n0_real_quadratic():
 
 
 def test_compact_table_agrees_above_degree_one():
-    for d in FUNDAMENTAL:
-        inv = quad_invariants(d)
+    for inv in FIELDS:
         plain = plain_table(inv)
-        compact = numberring_compact_table(inv)
+        compact = pn_of_table(inv, 0)
         for i in (2, 3):
             assert plain[i] == compact[i]
         assert compact[0].is_trivial
@@ -59,29 +51,30 @@ def test_compact_table_agrees_above_degree_one():
 def test_compact_euler_characteristics():
     # rank-weighted euler = r1+r2-1 (the predicted vanishing order),
     # torsion euler = h/w
-    for d in FUNDAMENTAL:
-        inv = quad_invariants(d)
-        table = numberring_compact_table(inv)
+    for inv in FIELDS:
+        table = pn_of_table(inv, 0)
         assert rank_weighted_euler(table) == inv.unit_rank
         assert torsion_euler(table) == Fraction(inv.h, inv.w)
 
 
 def test_pn_of_table_n0_matches_numberring():
-    for d in FUNDAMENTAL:
-        inv = quad_invariants(d)
+    # P^0 is Spec O_F: the compact-support table, H^1 = Z^(r1+r2-1) in
+    # place of the plain H^0 = Z, the plain table above degree 1, exact
+    for inv in FIELDS:
         table = pn_of_table(inv, 0)
         plain = plain_table(inv)
-        assert table.degrees() == plain.degrees()
-        for i in table.degrees():
-            assert table[i] == plain[i]
-        assert MOD2_CAVEAT in table.caveats
+        expected = GradedTable({1: FgAb(inv.unit_rank), 2: plain[2], 3: plain[3]}, dim=1)
+        assert table.entries == expected.entries
+        assert (table.dim, table.caveats) == (1, ())
 
 
 def test_pn_of_table_unknown_torsion_flagged():
     inv = quad_invariants(-4)
     table = pn_of_table(inv, 1)
     assert table.has_unknown_torsion()
-    assert UNKNOWN_TORSION_CAVEAT in table.caveats
+    assert table.caveats == (MOD2_CAVEAT, UNKNOWN_TORSION_CAVEAT)
+    # degree 3 extends mu_4^D (twist 0) by Z^(r2) (twist 1)
+    assert table[3] == FgAb(1, 4)
     # degree 4 holds K_2-torsion (unknown) extended by rank r2 = borel rank at r=2
     assert table[4].rank == 1
     assert not table[4].torsion_known
@@ -92,7 +85,7 @@ def test_pn_of_table_with_supplied_torsion():
     # Z[phi]: pretend orders for K_2 and K_3 torsion
     table = pn_of_table(inv, 1, k_torsion={2: 24, 3: 2})
     assert not table.has_unknown_torsion()
-    assert UNKNOWN_TORSION_CAVEAT not in table.caveats
+    assert table.caveats == (MOD2_CAVEAT,)
     assert table[4].torsion_order == 24
     assert table[5].torsion_order == 2
     # degree 4 rank = r2 = 0, degree 2 rank = r1+r2-1 = 1
