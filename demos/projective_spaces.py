@@ -18,9 +18,8 @@ from weilzeta import (
     torsion_euler,
     zeta_pn,
 )
-from weilzeta.motivic_rank import pn_of_order
 from weilzeta.number_field import RATIONALS
-from weilzeta.reports import ff_report
+from weilzeta.reports import ff_report, pn_of_report
 
 # P^2 over F_4.  The Weil-etale table has Z in degrees 0 and 1 and
 # finite groups of orders q-1, q^2-1 in odd degrees; its two Euler
@@ -45,22 +44,24 @@ print("verdict:", ff_report(space).verdict)  # compares the two
 # Over a number ring the table of P^n is a sum of shifted copies of the
 # number-ring table, one per twist j = 0..n, with the Borel rank of
 # K_{2j+1}(O_F) in degrees 2j+1 and 2j+2; each twist adds that rank to
-# the rank Euler characteristic.  The zeta side sums the vanishing
-# orders of the shifted Dedekind factors zeta_F(s - j) at s=0 from
-# their functional equations.  Their equality is the rank part of the
-# conjecture for P^n over O_F.
+# the rank Euler characteristic.  The pn-of report compares it with the
+# vanishing order of zeta(P^n, s) at s=0: at n = 0 the order of zeta_F
+# computed from L(0), above n = 0 Soule's sum of the Borel ranks (the
+# orders of the shifted factors zeta_F(s - j)), which reads the same
+# Borel dimensions as the table.  Their equality is the rank part of
+# the conjecture for P^n over O_F.
 
 print("\nP^1 over Z[i] (torsion of K_2 unknown):")
 for i, g in sorted(pn_of_table(quad_invariants(-4), 1).entries.items()):
     known = "" if g.torsion_known else " (unknown)"
     print(f"  H^{i}: rank {g.rank}, torsion order {g.torsion_order}{known}")
 
-print("\nrank identity for P^n over O_F (table rank = sum of zeta orders):")
-print("   disc   n    table  analytic")
+print("\nrank identity for P^n over O_F (table rank = vanishing order):")
+print("   disc   n    table     order  from")
 for d in (1, -4, -23, 5, 12):
     inv = RATIONALS if d == 1 else quad_invariants(d)
     for n in range(4):
-        lhs = rank_weighted_euler(pn_of_table(inv, n))
-        rhs = pn_of_order(inv, n)
+        report = pn_of_report(inv, n)
+        lhs, rhs = report.rank_predicted, report.ord_computed
         mark = "" if lhs == rhs else "  MISMATCH"
-        print(f"{d:>7} {n:>3} {lhs:>8} {rhs:>9}{mark}")
+        print(f"{d:>7} {n:>3} {lhs:>8} {rhs:>9}  {'L(0)' if n == 0 else 'Soule'}{mark}")

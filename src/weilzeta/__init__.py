@@ -9,12 +9,12 @@ module imports."""
 from importlib import import_module
 
 _EXPORTS = {
-    "fgab": "FgAb GradedTable IntMatrix extend rank_weighted_euler "
+    "fgab": "FgAb GradedTable IntMatrix rank_weighted_euler "
             "smith_normal_form torsion_euler",
     "ff_zeta": "CurveSpec FiniteField ProjectiveSpace ZetaRational count_points "
                "curve_class_number make_field special_value_s0 verify_ff zeta_curve zeta_pn",
     "lfunc": "character_table dedekind_leading_at_0 l_at_0 l_prime_at_0",
-    "motivic_rank": "borel_dim pn_of_order zeta_order_at",
+    "motivic_rank": "borel_dim pn_of_order",
     "number_field": "NumberFieldInvariants RATIONALS class_number_imaginary class_number_real "
                     "fundamental_discriminant fundamental_unit_real load_invariants quad_invariants",
     "reports": "SymbolicValue VerificationReport emit_report parse_report",

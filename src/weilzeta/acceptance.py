@@ -12,11 +12,11 @@ import time
 from fractions import Fraction
 
 from . import ff_zeta, weil_tables
-from .fgab import IntMatrix, rank_weighted_euler, smith_normal_form
+from .fgab import IntMatrix, smith_normal_form
 from .lfunc import dedekind_leading_at_0
-from .motivic_rank import pn_of_order
 from .number_field import RATIONALS, quad_invariants
 from .reports import (
+    FAIL,
     PASS,
     RANK_ONLY,
     ff_report,
@@ -120,17 +120,17 @@ def check_curves():
 
 
 def check_pn_rank_identity():
-    """Criterion 5: the rank Euler characteristic of the P^n table equals
-    pn_of_order, the sum of zeta vanishing orders, for the suite, n <= 6."""
+    """Criterion 5: the pn-of report's rank, the rank Euler characteristic
+    of the P^n table, equals its vanishing order (from L(0) at n = 0,
+    Soule's sum above) with no failed check, for the suite, n <= 6."""
     start = time.perf_counter()
     bad = []
     for d in (1, *NUMBER_RING_SUITE):
         inv = quad_invariants(d)
         for n in range(7):
-            lhs = rank_weighted_euler(weil_tables.pn_of_table(inv, n))
-            rhs = pn_of_order(inv, n)
-            if lhs != rhs:
-                bad.append((d, n, lhs, rhs))
+            report = pn_of_report(inv, n)
+            if report.verdict == FAIL or report.rank_predicted != report.ord_computed:
+                bad.append((d, n, report.verdict, report.rank_predicted, report.ord_computed))
     elapsed = time.perf_counter() - start
     return not bad and elapsed < 1.0, f"98 cases in {elapsed:.3f}s, failures: {bad or 'none'}"
 

@@ -198,19 +198,6 @@ ZERO = FgAb(0, 1)
 Z = FgAb(1, 1)
 
 
-def extend(sub: FgAb, quot: FgAb) -> FgAb:
-    """Middle term of a short exact sequence 0 -> sub -> B -> quot -> 0.
-
-    Rank and torsion order of B are forced; its invariant factors are not
-    (the extension class is unknown).
-    """
-    return FgAb(
-        sub.rank + quot.rank,
-        sub.torsion_order * quot.torsion_order,
-        sub.torsion_known and quot.torsion_known,
-    )
-
-
 @dataclass
 class GradedTable:
     """Sparse degree -> FgAb table for a cohomology complex of a scheme of

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import ff_zeta, weil_tables
@@ -128,15 +128,15 @@ def serialize_table(table) -> dict:
     }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class VerificationReport:
     object: str
-    invariants: dict
-    weil_table: dict | None
-    rank_predicted: int | None
-    ord_computed: int | None
-    special_value_predicted: SymbolicValue | None
-    special_value_computed: SymbolicValue | None
+    invariants: dict = field(default_factory=dict)
+    weil_table: dict | None = None
+    rank_predicted: int | None = None
+    ord_computed: int | None = None
+    special_value_predicted: SymbolicValue | None = None
+    special_value_computed: SymbolicValue | None = None
     verdict: str
     tolerances: dict = field(default_factory=dict)
     caveats: list = field(default_factory=list)
@@ -223,25 +223,19 @@ def load_report(path) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # report builders
 
-def _invariants_dict(inv: NumberFieldInvariants) -> dict:
-    return {f.name: getattr(inv, f.name) for f in fields(inv)}
-
-
-def decide(checks, inputs=(), ok=PASS):
+def decide(checks, inputs=()):
     """(verdict, caveats) from named (name, passed) checks and the inputs'
     verdicts: UNSUPPORTED, then FAIL with a 'failed: <name>' caveat per
-    failed check, then RANK_ONLY if any input is, and only then ok."""
-    verdicts = {*inputs, ok}
+    failed check, then RANK_ONLY if any input is, and only then PASS."""
     failed = [f"failed: {name}" for name, passed in checks if not passed]
-    if UNSUPPORTED in verdicts:
+    if UNSUPPORTED in inputs:
         return UNSUPPORTED, []
-    if failed or FAIL in verdicts:
+    if failed or FAIL in inputs:
         return FAIL, failed
-    return (RANK_ONLY if RANK_ONLY in verdicts else ok), []
+    return (RANK_ONLY if RANK_ONLY in inputs else PASS), []
 
 
-def numberring_report(inv: NumberFieldInvariants,
-                      object_name: str | None = None) -> VerificationReport:
+def numberring_report(inv: NumberFieldInvariants) -> VerificationReport:
     """Compare the prediction read off the table of P^0 = Spec O_F (ord =
     rank Euler characteristic = r1+r2-1, value = -(torsion Euler
     characteristic) R = -hR/w) with the analytic side computed from
@@ -253,8 +247,7 @@ def numberring_report(inv: NumberFieldInvariants,
         ord_, value = dedekind_leading_at_0(inv)
     except AnalyticSideUnavailable as exc:
         ord_ = computed = None
-        verdict, caveats = decide((), ok=UNSUPPORTED)
-        caveats.append(str(exc))
+        verdict, caveats = UNSUPPORTED, [str(exc)]
     else:
         computed = SymbolicValue(Fraction(1), {}, value)
         delta = abs(value - predicted.numeric())
@@ -265,8 +258,8 @@ def numberring_report(inv: NumberFieldInvariants,
              delta <= bound),
         ))
     return VerificationReport(
-        object=object_name or f"Spec O_F, disc {inv.disc}",
-        invariants=_invariants_dict(inv),
+        object=f"Spec O_F, disc {inv.disc}",
+        invariants=dict(vars(inv)),
         weil_table=serialize_table(table),
         rank_predicted=rank,
         ord_computed=ord_,
@@ -281,31 +274,30 @@ def numberring_report(inv: NumberFieldInvariants,
 def pn_of_report(inv: NumberFieldInvariants, n: int,
                  k_torsion: dict | None = None) -> VerificationReport:
     """Rank identity for P^n over a number ring: the rank Euler
-    characteristic of pn_of_table must equal the sum of zeta vanishing
-    orders, the same rule as numberring and ff pn.  The determinant side
-    needs K-theory torsion plus zeta values off s=0 and is reported
-    rank-only.  The table checks n and the K-torsion indices first, so
-    for n = 0 every index is refused."""
+    characteristic of pn_of_table must equal the vanishing order, the
+    same rule as numberring and ff pn.  At n = 0 this is the numberring
+    report, whose order comes from L(0); for n >= 1 the order is Soule's
+    sum pn_of_order, and the determinant side, which needs K-theory
+    torsion plus zeta values off s=0, is reported rank-only.  The table
+    checks n and the K-torsion indices first, so for n = 0 every index is
+    refused."""
     table = weil_tables.pn_of_table(inv, n, k_torsion)
     if n == 0:
-        return numberring_report(inv, object_name=f"P^0 over O_F, disc {inv.disc}")
+        return replace(numberring_report(inv), object=f"P^0 over O_F, disc {inv.disc}")
     rank = rank_weighted_euler(table)
     order = pn_of_order(inv, n)
     caveats = list(table.caveats)
     if weil_tables.UNKNOWN_TORSION_CAVEAT not in caveats:
         caveats.append("analytic determinant unavailable for n >= 1")
     verdict, failed = decide(
-        (("vanishing order equals rank Euler characteristic", rank == order),), ok=RANK_ONLY)
+        (("vanishing order equals rank Euler characteristic", rank == order),), inputs=(RANK_ONLY,))
     return VerificationReport(
         object=f"P^{n} over O_F, disc {inv.disc}",
-        invariants=_invariants_dict(inv),
+        invariants=dict(vars(inv)),
         weil_table=serialize_table(table),
         rank_predicted=rank,
         ord_computed=order,
-        special_value_predicted=None,
-        special_value_computed=None,
         verdict=verdict,
-        tolerances={},
         caveats=caveats + failed,
     )
 
@@ -374,14 +366,10 @@ def open_report(base: VerificationReport, fibers) -> VerificationReport:
                              inputs=[r.verdict for r in reports])
     return VerificationReport(
         object=f"{base.object} minus [{', '.join(f.object for f in fibers)}]",
-        invariants={},
-        weil_table=None,
         rank_predicted=rank,
         ord_computed=ord_,
-        special_value_predicted=None,
         special_value_computed=value,
         verdict=verdict,
-        tolerances={},
         caveats=[*failed, *sorted({c for r in reports for c in r.caveats})],
     )
 

@@ -34,11 +34,11 @@ def pn_of_table(
     b_j = borel_dim(inv, j+1), in degree 2j+1, an extension of Z^(b_j) by
     the dual of the K_{2j}-torsion in degree 2j+2, and the dual of the
     K_{2j+1}-torsion in degree 2j+3, where it meets the Z^(b_{j+1}) of
-    twist j+1 (ranks add, orders multiply, as in ``fgab.extend``).  Each
-    twist adds -(2j+1) b_j + (2j+2) b_j = b_j to the rank Euler
-    characteristic.  The placement follows the projective bundle formula;
-    P^0 is Spec O_F, whose table comes from the long exact sequence
-    against R Gamma(X_infty) = Z^(r1+r2).
+    twist j+1 (ranks add, orders multiply).  Each twist adds
+    -(2j+1) b_j + (2j+2) b_j = b_j to the rank Euler characteristic.  The
+    placement follows the projective bundle formula; P^0 is Spec O_F,
+    whose table comes from the long exact sequence against
+    R Gamma(X_infty) = Z^(r1+r2).
 
     ``k_torsion`` maps K-group index m to its (torsion) order: m = 2j for
     |K_{2j}| and m = 2j+1 for |K_{2j+1,tors}|, for 1 <= j <= n.  The j=0

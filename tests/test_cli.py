@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from weilzeta import ff_zeta, number_field, reports
-from weilzeta.acceptance import NUMBER_RING_SUITE, curve_panel
+from weilzeta.acceptance import NUMBER_RING_SUITE, curve_panel, open_pairs
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import MAX_ABS_DISC, NumberFieldInvariants, quad_invariants
@@ -335,6 +335,28 @@ def test_cli_pn_of_output_is_byte_identical():
     argvs = [("pn-of", "--disc", str(d), "--n", str(n), "--json")
              for d in NUMBER_RING_DISCS for n in range(1, 7)]
     assert _cli_digest(argvs) == "b54f1b05c5952f1a46663b2330e36b2fb9555bf07c8ad2baca1d6b3028856d91"
+
+
+def test_cli_report_builder_output_is_byte_identical(tmp_path, monkeypatch):
+    # open over criterion 7's pairs in text and JSON, pn-of --n 1..3 text
+    # with and without a K-torsion file, and numberring on the FAIL
+    # (h = 2, disc -23) and UNSUPPORTED (no disc) invariants files; taken
+    # before decide lost its ok argument and the builders their null padding
+    monkeypatch.chdir(tmp_path)
+    pairs = open_pairs()
+    for i, (base, fiber, _) in enumerate(pairs):
+        for role, report in (("base", base), ("fiber", fiber)):
+            (tmp_path / f"{role}{i}.json").write_text(emit_report(report, as_json=True))
+    (tmp_path / "k.txt").write_text("K2=24\nK3=2\n")
+    (tmp_path / "fail.txt").write_text("r1=0\nr2=1\nh=2\nR=1\nw=2\ndisc=-23\n")
+    (tmp_path / "nodisc.txt").write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\n")
+    argvs = [("open", f"base{i}.json", f"fiber{i}.json", *fmt)
+             for i in range(len(pairs)) for fmt in ((), ("--json",))]
+    argvs += [("pn-of", "--disc", str(d), "--n", str(n), *k)
+              for d in NUMBER_RING_DISCS for n in (1, 2, 3) for k in ((), ("--k-torsion", "k.txt"))]
+    argvs += [("numberring", "--invariants", name, *fmt)
+              for name in ("fail.txt", "nodisc.txt") for fmt in ((), ("--json",))]
+    assert _cli_digest(argvs) == "8eca4d192477c4434382f070ac45bb7d9e39d7ef2e5efe088e63ca32ad6d9e9d"
 
 
 @pytest.mark.parametrize("p", [31, 101])

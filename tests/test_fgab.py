@@ -12,7 +12,6 @@ from weilzeta.fgab import (
     GradedTable,
     IntMatrix,
     Z,
-    extend,
     rank_weighted_euler,
     smith_normal_form,
     torsion_euler,
@@ -116,29 +115,6 @@ def test_intmatrix_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
-
-
-def test_extend_number_ring_h2():
-    # 0 -> Cl(F)^D -> H^2 -> Hom(units, Z) -> 0
-    h2 = extend(FgAb(0, 3), FgAb(1, 1))
-    assert h2.rank == 1 and h2.torsion_order == 3
-
-
-def test_extend_trivial_and_orders():
-    assert extend(FgAb(0, 1), FgAb(0, 1)).is_trivial
-    # order multiplicativity regardless of extension class (Z/8 vs Z/4+Z/2)
-    b = extend(FgAb(0, 4), FgAb(0, 2))
-    assert (b.rank, b.torsion_order) == (0, 8)
-
-
-def test_extend_associative_on_rank_and_order():
-    rng = random.Random(7)
-    for _ in range(50):
-        groups = [FgAb(rng.randint(0, 3), rng.randint(1, 12)) for _ in range(3)]
-        a, b, c = groups
-        left = extend(extend(a, b), c)
-        right = extend(a, extend(b, c))
-        assert (left.rank, left.torsion_order) == (right.rank, right.torsion_order)
 
 
 def test_fgab_invariant_checks():

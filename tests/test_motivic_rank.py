@@ -1,7 +1,7 @@
 import pytest
 
 from weilzeta.fgab import rank_weighted_euler
-from weilzeta.motivic_rank import borel_dim, pn_of_order, zeta_order_at
+from weilzeta.motivic_rank import borel_dim, pn_of_order
 from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
 from weilzeta.weil_tables import pn_of_table
 
@@ -28,20 +28,6 @@ def test_borel_dim_real_quadratic():
 def test_borel_dim_rejects():
     with pytest.raises(ValueError):
         borel_dim(RATIONALS, 0)
-
-
-def test_zeta_order_matches_borel():
-    # functional equation: ord_{s=-j} zeta_F = rank K_{2j+1}(O_F)
-    for d in FUNDAMENTAL:
-        inv = quad_invariants(d)
-        for j in range(0, 8):
-            assert zeta_order_at(inv, j) == borel_dim(inv, j + 1)
-
-
-def test_zeta_order_rationals():
-    # zeta(0) != 0; zeta vanishes to order 1 at -2, -4, ... and is
-    # nonzero at the odd negative integers (Bernoulli values)
-    assert [zeta_order_at(RATIONALS, j) for j in range(0, 6)] == [0, 0, 1, 0, 1, 0]
 
 
 def test_soule_rank_number_ring_is_unit_rank():

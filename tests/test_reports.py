@@ -254,6 +254,7 @@ _STRENGTH = (UNSUPPORTED, FAIL, RANK_ONLY, PASS)
 
 @pytest.mark.parametrize("ok", [PASS, RANK_ONLY, UNSUPPORTED])
 def test_decide_table(ok):
+    # a builder's own verdict (RANK_ONLY for pn-of) is one more input
     verdicts = (PASS, RANK_ONLY, FAIL, UNSUPPORTED)
     for k in range(4):
         for inputs in itertools.product(verdicts, repeat=k):
@@ -261,7 +262,7 @@ def test_decide_table(ok):
                            (("a", False), ("b", False))):
                 failed = [f"failed: {name}" for name, passed in checks if not passed]
                 want = min((*inputs, ok, *[FAIL] * bool(failed)), key=_STRENGTH.index)
-                verdict, caveats = decide(checks, inputs, ok)
+                verdict, caveats = decide(checks, (*inputs, ok))
                 assert verdict == want, (inputs, checks, ok)
                 assert caveats == (failed if want == FAIL else [])
 
