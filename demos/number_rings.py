@@ -12,7 +12,7 @@ import math
 
 from weilzeta import dedekind_leading_at_0, quad_invariants
 from weilzeta.number_field import is_fundamental
-from weilzeta.reports import numberring_report
+from weilzeta.reports import pn_of_report
 from weilzeta.weil_tables import pn_of_table
 
 # The Gaussian integers first.  Class number 1, four roots of unity, no
@@ -27,7 +27,7 @@ for i in table.degrees():
     g = table[i]
     print(f"  H^{i}_c: rank {g.rank}, torsion order {g.torsion_order}")
 
-report = numberring_report(inv)
+report = pn_of_report(inv)
 print("predicted ord, value:", report.rank_predicted, report.special_value_predicted.numeric())
 print("computed  ord, value:", *dedekind_leading_at_0(inv))
 print("verdict:", report.verdict)

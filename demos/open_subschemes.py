@@ -10,7 +10,7 @@
 
 from weilzeta.ff_zeta import ProjectiveSpace
 from weilzeta.number_field import RATIONALS
-from weilzeta.reports import emit_report, ff_report, numberring_report, open_report
+from weilzeta.reports import emit_report, ff_report, open_report, pn_of_report
 
 # The affine line over F_5 as P^1 minus a point.  Both constituents
 # have a simple pole at s=0; the quotient has neither pole nor zero and
@@ -27,7 +27,7 @@ print("numeric value:", affine_line.special_value_computed.numeric(),
 # = P^0 over F_p).  The order stays 0 and the special value picks up
 # the Euler factor at p.
 
-base = numberring_report(RATIONALS)
+base = pn_of_report(RATIONALS)
 fiber = ff_report(ProjectiveSpace(3, 0))
 print()
 print(emit_report(open_report(base, [fiber])))

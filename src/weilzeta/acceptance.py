@@ -21,7 +21,6 @@ from .reports import (
     RANK_ONLY,
     ff_report,
     ff_value,
-    numberring_report,
     open_report,
     pn_of_report,
 )
@@ -38,7 +37,7 @@ def check_number_rings():
     for d in NUMBER_RING_SUITE:
         start = time.perf_counter()
         inv = quad_invariants(d)
-        report = numberring_report(inv)
+        report = pn_of_report(inv)
         rank_ok = report.rank_predicted == inv.unit_rank
         fast = time.perf_counter() - start < 1.0
         if not (report.verdict == PASS and rank_ok and fast):
@@ -161,9 +160,9 @@ def open_pairs():
     multiplicativity check: a rank-only base makes U rank-only."""
     qi = quad_invariants(-4)
     return [
-        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(2, 0)), PASS),
-        (numberring_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(3, 0)), PASS),
-        (numberring_report(quad_invariants(5)), ff_report(ff_zeta.ProjectiveSpace(11, 0)), PASS),
+        (pn_of_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(2, 0)), PASS),
+        (pn_of_report(RATIONALS), ff_report(ff_zeta.ProjectiveSpace(3, 0)), PASS),
+        (pn_of_report(quad_invariants(5)), ff_report(ff_zeta.ProjectiveSpace(11, 0)), PASS),
         (pn_of_report(qi, 1), ff_report(ff_zeta.ProjectiveSpace(5, 1)), RANK_ONLY),
         (pn_of_report(RATIONALS, 2), ff_report(ff_zeta.ProjectiveSpace(7, 2)), RANK_ONLY),
     ]

@@ -1,8 +1,10 @@
 """Command-line verifier.
 
 Verbs:
-  numberring  verify ord and zeta*_F(0) = -hR/w for a quadratic field / Q
-  pn-of       rank identity for P^n over a number ring (value RANK_ONLY)
+  numberring  verify ord and zeta*_F(0) = -hR/w for a quadratic field / Q;
+              this is pn-of --n 0, whose object is named Spec O_F
+  pn-of       rank identity for P^n over a number ring (value RANK_ONLY
+              for n >= 1); --disc and --invariants exclude each other
   ff pn       exact special value of P^n over F_q
   ff curve    exact special value of a hyperelliptic curve over F_p
   open        combine a base report with closed-fiber reports (zeta
@@ -22,15 +24,8 @@ import sys
 
 from . import ff_zeta
 from .acceptance import run_suite
-from .number_field import NumberFieldInvariants, load_invariants, quad_invariants
-from .reports import (
-    emit_report,
-    ff_report,
-    load_report,
-    numberring_report,
-    open_report,
-    pn_of_report,
-)
+from .number_field import load_invariants, quad_invariants
+from .reports import emit_report, ff_report, load_report, open_report, pn_of_report
 
 
 class UsageError(ValueError):
@@ -102,14 +97,6 @@ def parse_k_torsion(path) -> dict:
     return out
 
 
-def _resolve_invariants(args) -> NumberFieldInvariants:
-    if args.invariants:
-        return load_invariants(args.invariants)
-    if args.disc is None:
-        raise UsageError("need --disc or --invariants")
-    return quad_invariants(args.disc)
-
-
 @functools.cache  # parse_args keeps no state: a fresh Namespace per call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -117,35 +104,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify zeta special values at s=0 against cohomological predictions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    ring = argparse.ArgumentParser(add_help=False)
+    source = ring.add_mutually_exclusive_group(required=True)
+    source.add_argument("--disc", type=int, help="fundamental discriminant (1 for Q)")
+    source.add_argument("--invariants", help="key=value invariants file")
 
-    nr = sub.add_parser("numberring", help="verify a number ring")
-    nr.add_argument("--disc", type=int, help="fundamental discriminant (1 for Q)")
-    nr.add_argument("--invariants", help="key=value invariants file")
-    nr.add_argument("--json", action="store_true")
+    nr = sub.add_parser("numberring", parents=[ring, as_json],
+                        help="verify a number ring (pn-of --n 0)")
+    nr.set_defaults(n=0, k_torsion=None)
 
-    pn = sub.add_parser("pn-of", help="rank identity for P^n over a number ring")
-    pn.add_argument("--disc", type=int)
-    pn.add_argument("--invariants", help="key=value invariants file")
+    pn = sub.add_parser("pn-of", parents=[ring, as_json],
+                        help="rank identity for P^n over a number ring")
     pn.add_argument("--n", type=int, required=True)
     pn.add_argument("--k-torsion", dest="k_torsion", help="K<m>=<order> file")
-    pn.add_argument("--json", action="store_true")
 
     ff = sub.add_parser("ff", help="finite-field verification")
     ffsub = ff.add_subparsers(dest="ff_kind", required=True)
-    ffpn = ffsub.add_parser("pn", help="P^n over F_q")
+    ffpn = ffsub.add_parser("pn", parents=[as_json], help="P^n over F_q")
     ffpn.add_argument("--q", type=int, required=True)
     ffpn.add_argument("--n", type=int, required=True)
-    ffpn.add_argument("--json", action="store_true")
-    ffc = ffsub.add_parser("curve", help="y^2 = f(x) over F_p")
+    ffc = ffsub.add_parser("curve", parents=[as_json], help="y^2 = f(x) over F_p")
     ffc.add_argument("--p", type=int, required=True)
     ffc.add_argument("--f", required=True, help="e.g. x^3+x")
-    ffc.add_argument("--json", action="store_true")
 
-    op = sub.add_parser("open", help="combine base and closed-fiber JSON reports")
+    op = sub.add_parser("open", parents=[as_json],
+                        help="combine base and closed-fiber JSON reports")
     op.add_argument("base", help="base report (JSON file)")
     # default=[] keeps the optional fibers out of "the following arguments are required"
     op.add_argument("fibers", nargs="*", default=[], help="closed-fiber reports (JSON files)")
-    op.add_argument("--json", action="store_true")
 
     sub.add_parser("suite", help="run the acceptance battery")
 
@@ -155,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "numberring":
-            report = numberring_report(_resolve_invariants(args))
-        elif args.command == "pn-of":
+        if args.command in ("numberring", "pn-of"):
+            inv = (load_invariants(args.invariants) if args.disc is None
+                   else quad_invariants(args.disc))
             torsion = parse_k_torsion(args.k_torsion) if args.k_torsion else None
-            report = pn_of_report(_resolve_invariants(args), args.n, torsion)
+            report = pn_of_report(inv, args.n, torsion)
         elif args.command == "ff":
             if args.ff_kind == "pn":
                 variety = ff_zeta.ProjectiveSpace(args.q, args.n)
@@ -172,7 +160,7 @@ def run(argv=None) -> int:
             report = open_report(base, fibers)
         else:  # suite; argparse refuses any other verb
             return 0 if run_suite() else 2
-        print(emit_report(report, as_json=getattr(args, "json", False)))
+        print(emit_report(report, as_json=args.json))
     except (ValueError, OSError) as exc:  # every error class here subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import ff_zeta, weil_tables
@@ -235,70 +235,56 @@ def decide(checks, inputs=()):
     return (RANK_ONLY if RANK_ONLY in inputs else PASS), []
 
 
-def numberring_report(inv: NumberFieldInvariants) -> VerificationReport:
-    """Compare the prediction read off the table of P^0 = Spec O_F (ord =
-    rank Euler characteristic = r1+r2-1, value = -(torsion Euler
-    characteristic) R = -hR/w) with the analytic side computed from
-    L-values at s=0."""
-    table = weil_tables.pn_of_table(inv, 0)
-    rank = rank_weighted_euler(table)
-    predicted = SymbolicValue(-torsion_euler(table), {}, inv.R)
-    try:
-        ord_, value = dedekind_leading_at_0(inv)
-    except AnalyticSideUnavailable as exc:
-        ord_ = computed = None
-        verdict, caveats = UNSUPPORTED, [str(exc)]
-    else:
-        computed = SymbolicValue(Fraction(1), {}, value)
-        delta = abs(value - predicted.numeric())
-        bound = DEFAULT_TOL * max(1.0, abs(predicted.numeric()))
-        verdict, caveats = decide((
-            (f"ord computed {ord_} != rank predicted {rank}", ord_ == rank),
-            (f"|computed - predicted| = {delta!r} > tol * max(1, |predicted|) = {bound!r}",
-             delta <= bound),
-        ))
-    return VerificationReport(
-        object=f"Spec O_F, disc {inv.disc}",
-        invariants=dict(vars(inv)),
-        weil_table=serialize_table(table),
-        rank_predicted=rank,
-        ord_computed=ord_,
-        special_value_predicted=predicted,
-        special_value_computed=computed,
-        verdict=verdict,
-        tolerances={"value": DEFAULT_TOL},
-        caveats=caveats,
-    )
-
-
-def pn_of_report(inv: NumberFieldInvariants, n: int,
+def pn_of_report(inv: NumberFieldInvariants, n: int = 0,
                  k_torsion: dict | None = None) -> VerificationReport:
-    """Rank identity for P^n over a number ring: the rank Euler
-    characteristic of pn_of_table must equal the vanishing order, the
-    same rule as numberring and ff pn.  At n = 0 this is the numberring
-    report, whose order comes from L(0); for n >= 1 the order is Soule's
-    sum pn_of_order, and the determinant side, which needs K-theory
-    torsion plus zeta values off s=0, is reported rank-only.  The table
-    checks n and the K-torsion indices first, so for n = 0 every index is
-    refused."""
+    """Compare the prediction read off pn_of_table with the zeta side: the
+    rank Euler characteristic of the table must equal the vanishing order,
+    the same rule as ff pn.  At n = 0, P^0 = Spec O_F and the order and
+    value -(torsion Euler characteristic) R = -hR/w meet L-values at s=0;
+    for n >= 1 the order is Soule's sum pn_of_order, and the determinant
+    side, which needs K-theory torsion plus zeta values off s=0, is
+    reported rank-only.  The table checks n and the K-torsion indices
+    first, so for n = 0 every index is refused."""
     table = weil_tables.pn_of_table(inv, n, k_torsion)
-    if n == 0:
-        return replace(numberring_report(inv), object=f"P^0 over O_F, disc {inv.disc}")
     rank = rank_weighted_euler(table)
-    order = pn_of_order(inv, n)
-    caveats = list(table.caveats)
-    if weil_tables.UNKNOWN_TORSION_CAVEAT not in caveats:
-        caveats.append("analytic determinant unavailable for n >= 1")
-    verdict, failed = decide(
-        (("vanishing order equals rank Euler characteristic", rank == order),), inputs=(RANK_ONLY,))
+    predicted = computed = None
+    if n == 0:
+        name, tolerances = "Spec O_F", {"value": DEFAULT_TOL}
+        predicted = SymbolicValue(-torsion_euler(table), {}, inv.R)
+        try:
+            order, value = dedekind_leading_at_0(inv)
+        except AnalyticSideUnavailable as exc:
+            order = None
+            verdict, caveats = UNSUPPORTED, [str(exc)]
+        else:
+            computed = SymbolicValue(Fraction(1), {}, value)
+            delta = abs(value - predicted.numeric())
+            bound = DEFAULT_TOL * max(1.0, abs(predicted.numeric()))
+            verdict, caveats = decide((
+                (f"ord computed {order} != rank predicted {rank}", order == rank),
+                (f"|computed - predicted| = {delta!r} > tol * max(1, |predicted|) = {bound!r}",
+                 delta <= bound),
+            ))
+    else:
+        name, tolerances = f"P^{n} over O_F", {}
+        order = pn_of_order(inv, n)
+        caveats = list(table.caveats)
+        if weil_tables.UNKNOWN_TORSION_CAVEAT not in caveats:
+            caveats.append("analytic determinant unavailable for n >= 1")
+        verdict, failed = decide(
+            (("vanishing order equals rank Euler characteristic", rank == order),), inputs=(RANK_ONLY,))
+        caveats += failed
     return VerificationReport(
-        object=f"P^{n} over O_F, disc {inv.disc}",
+        object=f"{name}, disc {inv.disc}",
         invariants=dict(vars(inv)),
         weil_table=serialize_table(table),
         rank_predicted=rank,
         ord_computed=order,
+        special_value_predicted=predicted,
+        special_value_computed=computed,
         verdict=verdict,
-        caveats=caveats + failed,
+        tolerances=tolerances,
+        caveats=caveats,
     )
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilzeta import ff_zeta, number_field, reports
+from weilzeta import ff_zeta, number_field, reports, weil_tables
 from weilzeta.acceptance import NUMBER_RING_SUITE, curve_panel, open_pairs
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
@@ -22,7 +22,6 @@ from weilzeta.reports import (
     UNSUPPORTED,
     emit_report,
     ff_report,
-    numberring_report,
     open_report,
     parse_report,
     pn_of_report,
@@ -44,7 +43,7 @@ def cli(*argv):
 # report builders
 
 def test_numberring_report_pass():
-    report = numberring_report(quad_invariants(-23))
+    report = pn_of_report(quad_invariants(-23))
     assert report.verdict == PASS and report.exit_code == 0
     assert report.rank_predicted == 0 and report.ord_computed == 0
     # -h R / w = -3/2
@@ -53,7 +52,7 @@ def test_numberring_report_pass():
 
 def test_numberring_report_unsupported():
     cubic = NumberFieldInvariants(1, 1, 1, 0.3, 2, disc=-23)
-    report = numberring_report(cubic)
+    report = pn_of_report(cubic)
     assert report.verdict == UNSUPPORTED and report.exit_code == 3
     assert report.special_value_computed is None
 
@@ -69,7 +68,15 @@ def test_pn_of_report_rank_only():
 def test_pn_of_report_n0_delegates():
     report = pn_of_report(quad_invariants(5), 0)
     assert report.verdict == PASS
-    assert report.object.startswith("P^0")
+    assert report.object == "Spec O_F, disc 5"
+
+
+def test_pn_of_report_builds_its_table_once(monkeypatch):
+    calls = []
+    build = weil_tables.pn_of_table
+    monkeypatch.setattr(weil_tables, "pn_of_table", lambda *a: calls.append(a) or build(*a))
+    report = pn_of_report(quad_invariants(5), 0)
+    assert report.verdict == PASS and len(calls) == 1
 
 
 def test_pn_of_report_with_torsion_still_rank_only():
@@ -235,9 +242,18 @@ def test_cli_usage_errors():
     assert code == 1 and "fundamental" in err
     assert "-20" in err  # suggests the fundamental discriminant of Q(sqrt -5)
     code, _, err = cli("numberring")
-    assert code == 1 and "--disc or --invariants" in err
+    assert code == 1 and "one of the arguments --disc --invariants is required" in err
     code, _, err = cli("ff", "curve", "--p", "5", "--f", "x^3")
     assert code == 1 and "squarefree" in err
+
+
+def test_cli_disc_and_invariants_exclude_each_other(tmp_path):
+    path = tmp_path / "inv.txt"
+    path.write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\ndisc=-23\n")
+    for verb in (("numberring",), ("pn-of", "--n", "1")):
+        code, out, err = cli(*verb, "--disc", "5", "--invariants", str(path))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "--disc" in err and "--invariants" in err
 
 
 def test_cli_invariants_file(tmp_path):
@@ -319,14 +335,15 @@ NUMBER_RING_DISCS = (1, *NUMBER_RING_SUITE, -999995, 1000001)
 def test_cli_number_ring_output_is_byte_identical():
     # numberring and pn-of --n 0 in text and JSON, and criterion 3's ff pn
     # panel, taken before both number-ring verbs built their table with
-    # the one shifted-twist builder
+    # the one shifted-twist builder, with pn-of --n 0's object renamed
+    # from P^0 over O_F to Spec O_F
     argvs = [(verb, "--disc", str(d), *n, *fmt)
              for d in NUMBER_RING_DISCS
              for verb, n in (("numberring", ()), ("pn-of", ("--n", "0")))
              for fmt in ((), ("--json",))]
     argvs += [("ff", "pn", "--q", str(q), "--n", str(n), *fmt)
               for q in (2, 3, 4, 5, 7, 8, 9) for n in range(4) for fmt in ((), ("--json",))]
-    assert _cli_digest(argvs) == "5bdf2fc9a0b622ed899ea2e0b84ad21d7e2a8d5a2ee4fbb51498dd12ab157857"
+    assert _cli_digest(argvs) == "f9dffa2cf857fc2921eeebfcfb4abbeac9ea4d8457529d7d180590c1cbcda173"
 
 
 def test_cli_pn_of_output_is_byte_identical():
@@ -549,13 +566,13 @@ def test_cli_numberring_fail_states_why(tmp_path, monkeypatch):
     path = tmp_path / "inv.txt"
     path.write_text("r1=0\nr2=1\nh=2\nR=1\nw=2\ndisc=-23\n")
     assert run(["numberring", "--invariants", str(path)]) == 2
-    report = numberring_report(NumberFieldInvariants(0, 1, 2, 1.0, 2, disc=-23))
+    report = pn_of_report(NumberFieldInvariants(0, 1, 2, 1.0, 2, disc=-23))
     assert report.verdict == FAIL
     assert report.caveats == ["failed: |computed - predicted| = 0.5 > tol * max(1, |predicted|) = 1e-08"]
     # an analytic order that differs from the rank is named first; invariants
     # that contradict their own disc are refused before either side is built
     monkeypatch.setattr(reports, "dedekind_leading_at_0", lambda inv: (1, -1.5))
-    report = numberring_report(NumberFieldInvariants(0, 1, 3, 1.0, 2, disc=-23))
+    report = pn_of_report(NumberFieldInvariants(0, 1, 3, 1.0, 2, disc=-23))
     assert report.verdict == FAIL
     assert report.caveats[0] == "failed: ord computed 1 != rank predicted 0"
 

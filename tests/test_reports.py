@@ -18,7 +18,6 @@ from weilzeta.reports import (
     emit_report,
     ff_report,
     ff_value,
-    numberring_report,
     open_report,
     parse_report,
     pn_of_report,
@@ -72,7 +71,7 @@ def test_ff_value_folds_prime_power_base():
 def test_numberring_value_is_a_real_factor():
     # the analytic zeta*(0) is a float, carried as 1 * real_factor
     inv = quad_invariants(5)
-    v = numberring_report(inv).special_value_computed
+    v = pn_of_report(inv).special_value_computed
     assert v == SymbolicValue(Fraction(1), {}, dedekind_leading_at_0(inv)[1])
 
 
@@ -117,8 +116,8 @@ def test_exit_codes():
 @pytest.mark.parametrize(
     "report",
     [
-        numberring_report(quad_invariants(-23)),
-        numberring_report(quad_invariants(5)),
+        pn_of_report(quad_invariants(-23)),
+        pn_of_report(quad_invariants(5)),
         pn_of_report(quad_invariants(-4), 2),
         ff_report(ProjectiveSpace(4, 2)),
         ff_report(CurveSpec(5, (0, -1, 0, 1))),
@@ -130,28 +129,27 @@ def test_json_roundtrip(report):
 
 
 def test_every_table_report_reads_its_prediction_off_its_table():
-    # numberring for Q and the criterion-1 fields, pn-of for n <= 6 with and
-    # without K-torsion, criterion 3's ff pn panel: every report kind with
+    # pn-of for Q and the criterion-1 fields, n <= 6 (n = 0 is numberring)
+    # with and without K-torsion, criterion 3's ff pn panel: every report kind with
     # a weil_table.  The JSON table alone gives rank_predicted (sum of
     # (-1)^i i rank_i) and, for number rings, |mantissa| (prod of
     # torsion_order_i^((-1)^i)).
     fields = [RATIONALS] + [quad_invariants(d) for d in NUMBER_RING_SUITE]
-    panel = [numberring_report(inv) for inv in fields]
-    panel += [pn_of_report(inv, n) for inv in fields for n in range(7)]
+    panel = [pn_of_report(inv, n) for inv in fields for n in range(7)]
     panel += [pn_of_report(inv, n, {2: 24, 3: 2}) for inv in fields for n in range(1, 7)]
     panel += [ff_report(ProjectiveSpace(q, n)) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(4)]
     for report in panel:
         payload = json.loads(emit_report(report, as_json=True))
         entries = {int(i): g for i, g in payload["weil_table"]["entries"].items()}
         assert payload["rank_predicted"] == sum((-1) ** i * i * g["rank"] for i, g in entries.items())
-        if report.object.startswith(("Spec O_F", "P^0 over O_F")):
+        if report.object.startswith("Spec O_F"):
             torsion = math.prod(Fraction(int(g["torsion_order"])) ** (-1) ** i
                                 for i, g in entries.items())
             assert abs(report.special_value_predicted.mantissa) == torsion
 
 
 def test_human_output_mentions_verdict_and_table():
-    report = numberring_report(quad_invariants(-23))
+    report = pn_of_report(quad_invariants(-23))
     text = emit_report(report)
     assert "verdict:" in text and PASS in text
     assert "H^2: rank 0, torsion order 3" in text
@@ -159,7 +157,7 @@ def test_human_output_mentions_verdict_and_table():
 
 
 def test_json_output_is_stable():
-    report = numberring_report(quad_invariants(-4))
+    report = pn_of_report(quad_invariants(-4))
     assert emit_report(report, as_json=True) == emit_report(report, as_json=True)
     payload = json.loads(emit_report(report, as_json=True))
     assert payload["verdict"] == PASS
