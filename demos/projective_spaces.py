@@ -8,6 +8,9 @@
 # Euler characteristic of the Weil-etale table equals the vanishing
 # order of zeta(P^n, s) at s=0.  This script exercises both.
 
+import os
+import tempfile
+
 from weilzeta import (
     ProjectiveSpace,
     pn_fq_table,
@@ -18,6 +21,7 @@ from weilzeta import (
     torsion_euler,
     zeta_pn,
 )
+from weilzeta.cli import run
 from weilzeta.number_field import RATIONALS
 from weilzeta.reports import ff_report, pn_of_report
 
@@ -65,3 +69,17 @@ for d in (1, -4, -23, 5, 12):
         lhs, rhs = report.rank_predicted, report.ord_computed
         mark = "" if lhs == rhs else "  MISMATCH"
         print(f"{d:>7} {n:>3} {lhs:>8} {rhs:>9}  {'L(0)' if n == 0 else 'Soule'}{mark}")
+
+# The K-groups of Z above K_1 are known in low degree: K_2(Z) = Z/2
+# (Milnor) and K_3(Z) = Z/48 (Lee-Szczarba).  A --k-torsion file gives
+# them to P^1 over Z, one K<m>=<order> line each, and fills the torsion
+# of the table that is otherwise "unknown".  The determinant side above
+# n = 0 is not computed, so the verdict stays RANK_ONLY.
+
+print("\nP^1 over Z with K_2(Z) = Z/2 and K_3(Z) = Z/48 from a --k-torsion file:")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "k_torsion_of_Z.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# K-groups of Z\nK2=2\nK3=48\n")
+    code = run(["pn-of", "--disc", "1", "--n", "1", "--k-torsion", path])
+print("exit code:", code)

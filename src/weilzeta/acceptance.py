@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import islice, product
 
 from . import ff_zeta, weil_tables
 from .fgab import IntMatrix, smith_normal_form
@@ -75,25 +76,15 @@ def check_pn_over_fq():
 
 
 def curve_panel():
-    """Deterministic panel: for each p, >= 10 squarefree cubics and
-    quintics y^2 = f(x)."""
-    panel = []
-    for p in (3, 5, 7, 11, 13):
-        for deg in (3, 5):
-            found = 0
-            for b in range(p):
-                for a in range(p):
-                    coeffs = (b, a) + (0,) * (deg - 2) + (1,)
-                    try:
-                        panel.append(ff_zeta.CurveSpec(p, coeffs))
-                    except ff_zeta.SingularCurveError:
-                        continue
-                    found += 1
-                    if found >= 5:
-                        break
-                if found >= 5:
-                    break
-    return panel
+    """Deterministic panel: for each p, the first 5 squarefree cubics and
+    quintics y^2 = x^deg + a x + b, (b, a) in lexicographic order."""
+    def curves(p, deg):
+        for b, a in product(range(p), repeat=2):
+            try:
+                yield ff_zeta.CurveSpec(p, (b, a) + (0,) * (deg - 2) + (1,))
+            except ff_zeta.SingularCurveError:
+                continue
+    return [c for p in (3, 5, 7, 11, 13) for deg in (3, 5) for c in islice(curves(p, deg), 5)]
 
 
 def check_curves():

@@ -24,7 +24,7 @@ import sys
 
 from . import ff_zeta
 from .acceptance import run_suite
-from .number_field import load_invariants, quad_invariants
+from .number_field import InvariantsError, load_invariants, quad_invariants, read_key_values
 from .reports import emit_report, ff_report, load_report, open_report, pn_of_report
 
 
@@ -73,28 +73,15 @@ def parse_poly(text: str) -> tuple:
     return tuple(coeffs.get(i, 0) for i in range(top + 1))
 
 
+def _k_torsion_entry(key: str, text: str):
+    if not (re.fullmatch(r"K\d+", key) and re.fullmatch(r"\d+", text)):
+        raise InvariantsError("expected K<m>=<order>")
+    return int(key[1:]), int(text)
+
+
 def parse_k_torsion(path) -> dict:
-    """File of 'K<m>=<order>' lines, each m at most once: the full order
-    (>= 1) for even m, the torsion order for odd m."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = re.match(r"^K(\d+)\s*=\s*(\d+)$", line)
-            if not m:
-                raise UsageError(f"{path}:{lineno}: expected K<m>=<order>, got {raw!r}")
-            try:  # int() refuses more than sys.get_int_max_str_digits() digits
-                index, order = int(m.group(1)), int(m.group(2))
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: too many digits in {line[:40]!r}...") from None
-            if order < 1:
-                raise UsageError(f"{path}:{lineno}: the order of K{index} must be >= 1, got {order}")
-            if index in out:
-                raise UsageError(f"{path}:{lineno}: K{index} is given twice")
-            out[index] = order
-    return out
+    """{m: order} from 'K<m>=<order>' lines; pn_of_table checks m and the order."""
+    return read_key_values(path, _k_torsion_entry)
 
 
 @functools.cache  # parse_args keeps no state: a fresh Namespace per call

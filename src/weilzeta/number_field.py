@@ -21,7 +21,7 @@ from .ff_zeta import factorize
 
 
 class InvariantsError(ValueError):
-    """Bad input to an invariants computation or an invariants file."""
+    """Bad input to an invariants computation or a key=value file."""
 
 
 # the largest |D| either side computes: the character table behind the
@@ -86,14 +86,11 @@ def fundamental_discriminant(d: int) -> int:
 
 
 def is_fundamental(D: int) -> bool:
-    if D == 1:
-        return True  # convention for Q
-    if D % 4 == 1:
-        return squarefree_part(D) == D
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and squarefree_part(m) == m  # False at D = 0
-    return False
+    """D = 1 (Q) or the discriminant of Q(sqrt(D)); 0 and squares are not."""
+    try:
+        return D == 1 or fundamental_discriminant(D) == D
+    except InvariantsError:
+        return False
 
 
 def class_number_imaginary(D: int) -> int:
@@ -240,37 +237,44 @@ def quad_invariants(D: int) -> NumberFieldInvariants:
     )
 
 
+def read_key_values(path, parse) -> dict:
+    """{key: value} from key=value lines ('#' comments, blank lines skipped),
+    (key, value) = parse(key, text), each key once after parse.  parse raises
+    InvariantsError(reason); every error is '<path>:<line>: <reason>: <line cut to 40>'."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, text = (part.strip() for part in line.partition("="))
+            try:
+                if not eq:
+                    raise InvariantsError("expected key=value")
+                key, value = parse(key, text)
+                if key in values:
+                    raise InvariantsError("key given twice")
+            except ValueError as exc:  # int() and float() echo the whole text
+                reason = exc if isinstance(exc, InvariantsError) else "cannot parse the value"
+                shown = line if len(line) <= 40 else line[:40] + "..."
+                raise InvariantsError(f"{path}:{lineno}: {reason}: {shown!r}") from None
+            values[key] = value
+    return values
+
+
 _REQUIRED = ("r1", "r2", "h", "R", "w")
 
 
-def parse_invariants(text: str) -> NumberFieldInvariants:
-    """Parse key=value invariant lines ('#' comments allowed)."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvariantsError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in (*_REQUIRED, "disc"):
-            raise InvariantsError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise InvariantsError(f"line {lineno}: key {key!r} is given twice")
-        try:
-            values[key] = int(val) if key != "R" else float(val)
-        except ValueError:
-            raise InvariantsError(
-                f"line {lineno}: cannot parse value for {key!r}: {val!r}"
-            ) from None
-    missing = [k for k in _REQUIRED if k not in values]
-    if missing:
-        raise InvariantsError(f"missing required key(s): {', '.join(missing)}")
-    return NumberFieldInvariants(**values)
+def _invariant_entry(key: str, text: str):
+    if key not in (*_REQUIRED, "disc"):
+        raise InvariantsError("unknown key")
+    return key, float(text) if key == "R" else int(text)
 
 
 def load_invariants(path) -> NumberFieldInvariants:
-    """Load NumberFieldInvariants from a key=value text file."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_invariants(fh.read())
+    """NumberFieldInvariants from key=value lines r1, r2, h, R, w, disc."""
+    values = read_key_values(path, _invariant_entry)
+    missing = [k for k in _REQUIRED if k not in values]
+    if missing:
+        raise InvariantsError(f"{path}: missing required key(s): {', '.join(missing)}")
+    return NumberFieldInvariants(**values)

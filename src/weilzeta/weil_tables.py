@@ -40,8 +40,8 @@ def pn_of_table(
     whose table comes from the long exact sequence against
     R Gamma(X_infty) = Z^(r1+r2).
 
-    ``k_torsion`` maps K-group index m to its (torsion) order: m = 2j for
-    |K_{2j}| and m = 2j+1 for |K_{2j+1,tors}|, for 1 <= j <= n.  The j=0
+    ``k_torsion`` maps K-group index m to its (torsion) order >= 1: m = 2j
+    for |K_{2j}| and m = 2j+1 for |K_{2j+1,tors}|, for 1 <= j <= n.  The j=0
     orders are the class number and root-of-unity count from ``inv``.
     Missing orders are flagged unknown rather than silently 1.  For
     n >= 1 the table is stated mod 2-torsion.
@@ -52,6 +52,9 @@ def pn_of_table(
     if bad:
         raise ValueError(f"k-torsion indices out of range for n={n}: {bad}")
     orders = {0: inv.h, 1: inv.w, **(k_torsion or {})}
+    low = [f"K{m}={t}" for m, t in orders.items() if t < 1]  # h, w >= 1 already
+    if low:
+        raise ValueError(f"k-torsion orders must be >= 1, got {', '.join(low)}")
 
     top = 2 * n + 3
     entries = {1: FgAb(borel_dim(inv, 1))}

@@ -14,7 +14,7 @@ from weilzeta import ff_zeta, number_field, reports, weil_tables
 from weilzeta.acceptance import NUMBER_RING_SUITE, curve_panel, open_pairs
 from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
-from weilzeta.number_field import MAX_ABS_DISC, NumberFieldInvariants, quad_invariants
+from weilzeta.number_field import MAX_ABS_DISC, InvariantsError, NumberFieldInvariants, quad_invariants
 from weilzeta.reports import (
     FAIL,
     PASS,
@@ -188,16 +188,22 @@ def test_parse_k_torsion(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("# K-theory of Z[i]\nK2=24  # full order\nK3 = 2\n\n")
     assert parse_k_torsion(path) == {2: 24, 3: 2}
-    for text, message in (("K2: 24\n", ":1: expected K<m>=<order>"),
-                          ("K3=2\nK2=0\n", ":2: the order of K2 must be >= 1, got 0"),
-                          ("K2=24\n# again\nK2=24\n", ":3: K2 is given twice"),
-                          ("K2=" + "9" * 5000, ":1: too many digits in 'K2=999")):
+    # the order and the index are pn_of_table's to check
+    path.write_text("K3=2\nK2=0\nK9=1\n")
+    assert parse_k_torsion(path) == {3: 2, 2: 0, 9: 1}
+    for text, message in (("K2: 24\n", ":1: expected key=value: 'K2: 24'"),
+                          ("K2=-1\n", ":1: expected K<m>=<order>: 'K2=-1'"),
+                          ("K2=24\n# again\nK2=24\n", ":3: key given twice: 'K2=24'"),
+                          ("K2=24\nK02=24\n", ":2: key given twice: 'K02=24'"),
+                          ("K2=" + "9" * 5000, ":1: cannot parse the value: 'K2=" + "9" * 37 + "...'")):
         path.write_text(text)
-        with pytest.raises(UsageError, match=message):
+        with pytest.raises(InvariantsError) as info:
             parse_k_torsion(path)
+        assert str(info.value) == f"{path}{message}"
 
 
 def test_parse_k_torsion_arbitrary_file_is_dict_or_usage_error(tmp_path):
+    # a refused file raises InvariantsError, which the command line prints as a usage error
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     numbers = st.sampled_from(["0", "2", "3", "24", "9" * 5000, "-1", "x", ""])
@@ -212,10 +218,10 @@ def test_parse_k_torsion_arbitrary_file_is_dict_or_usage_error(tmp_path):
         path.write_text(text, encoding="utf-8")
         try:
             orders = parse_k_torsion(path)
-        except UsageError as exc:
+        except InvariantsError as exc:
             assert len(str(exc).splitlines()) == 1
             return
-        assert all(type(m) is int and type(o) is int and o >= 1 for m, o in orders.items())
+        assert all(type(m) is int and type(o) is int and o >= 0 for m, o in orders.items())
 
     check()
 
@@ -717,11 +723,11 @@ def test_cli_report_that_cannot_be_printed_is_an_error(tmp_path):
 
 def test_cli_bad_k_torsion_and_invariants_files(tmp_path):
     path = tmp_path / "k.txt"
-    for text, message in (("K2=0\n", ":1: the order of K2 must be >= 1, got 0"),
-                          ("K2=4\nK3=2\nK2=4\n", ":3: K2 is given twice")):
+    for text, message in (("K2=0\n", "k-torsion orders must be >= 1, got K2=0"),
+                          ("K2=4\nK3=2\nK2=4\n", f"{path}:3: key given twice: 'K2=4'")):
         path.write_text(text)
         code, out, err = cli("pn-of", "--disc", "5", "--n", "1", "--k-torsion", str(path))
-        assert code == 1 and out == "" and err == f"error: {path}{message}\n"
+        assert code == 1 and out == "" and err == f"error: {message}\n"
     # n = 0 has no K-torsion index in range: a file n = 1 refuses is
     # refused at n = 0 too, and an empty file still gives PASS
     path.write_text("K9=5\n")
@@ -739,7 +745,26 @@ def test_cli_bad_k_torsion_and_invariants_files(tmp_path):
     path.write_text("r1=0\nr2=1\nh=3\nR=1\nw=2\nh=1\ndisc=-23\n")
     for verb in (("numberring",), ("pn-of", "--n", "1")):
         code, out, err = cli(*verb, "--invariants", str(path))
-        assert (code, out, err) == (1, "", "error: line 6: key 'h' is given twice\n")
+        assert (code, out, err) == (1, "", f"error: {path}:6: key given twice: 'h=1'\n")
+
+
+@pytest.mark.parametrize("verb, key, rest", [
+    (("numberring", "--invariants"), "h", "r1=0\nr2=1\nh=3\nR=1\nw=2\n"),
+    (("pn-of", "--disc", "5", "--n", "1", "--k-torsion"), "K2", "K3=2\n"),
+], ids=["invariants", "k-torsion"])
+@pytest.mark.parametrize("bad, line", [
+    ("{key}=3\n{key}=3\n", 2),
+    ("{key}=3\n# a comment\n{key} 3\n", 3),
+    ("{key}=" + "9" * 5000 + "\n", 1),
+], ids=["repeated-key", "no-equals", "5000-digits"])
+def test_cli_key_value_file_error_is_one_short_line(tmp_path, verb, key, rest, bad, line):
+    # both files go through one reader: same rules, same error form
+    path = tmp_path / "file.txt"
+    path.write_text(bad.format(key=key) + rest)
+    code, out, err = cli(*verb, str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.startswith(f"error: {path}:{line}: ")
 
 
 def test_cli_invariants_disc_above_bound_is_unsupported(tmp_path):

@@ -19,7 +19,7 @@ from weilzeta.number_field import (
     fundamental_discriminant,
     fundamental_unit_real,
     is_fundamental,
-    parse_invariants,
+    load_invariants,
     quad_invariants,
     squarefree_part,
 )
@@ -75,6 +75,25 @@ def test_fundamental_discriminant_rejects():
     for bad in (0, 1, 4, 9, 16):
         with pytest.raises(InvariantsError):
             fundamental_discriminant(bad)
+
+
+def test_is_fundamental_matches_textbook_rule():
+    # D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree
+    # (D = 1 is Q); the tests that pick their D with is_fundamental rely on it
+    bound = 20_000
+    squarefree = [True] * (bound + 1)
+    for k in range(2, isqrt(bound) + 1):
+        squarefree[k * k::k * k] = [False] * len(squarefree[k * k::k * k])
+
+    def textbook(D):
+        if D % 4 == 1:
+            return squarefree[abs(D)]
+        m = D // 4
+        return D % 4 == 0 and m % 4 in (2, 3) and squarefree[abs(m)]
+
+    discs = range(-bound, bound + 1)
+    assert [D for D in discs if is_fundamental(D)] == [D for D in discs if textbook(D)]
+    assert sum(map(is_fundamental, discs)) == 12_161
 
 
 def test_is_fundamental_zero_is_false():
@@ -259,30 +278,41 @@ def test_quad_invariants_positive():
         assert value > 0 and math.isfinite(value)
 
 
-def test_parse_invariants_roundtrip():
-    inv = parse_invariants("r1=0\nr2=1\nh=1\nR=1\nw=6\ndisc=-3")
+def read(tmp_path, text):
+    path = tmp_path / "inv.txt"
+    path.write_text(text, encoding="utf-8")
+    return load_invariants(path)
+
+
+def test_parse_invariants_roundtrip(tmp_path):
+    inv = read(tmp_path, "r1=0\nr2=1\nh=1\nR=1\nw=6\ndisc=-3")
     assert inv == quad_invariants(-3)
 
 
-def test_parse_invariants_comments_and_blank_lines():
-    inv = parse_invariants("# header\nr1=1\nr2=2\n\nh=3\nR=0.5  # regulator\nw=2\n")
+def test_parse_invariants_comments_and_blank_lines(tmp_path):
+    inv = read(tmp_path, "# header\nr1=1\nr2=2\n\nh=3\nR=0.5  # regulator\nw=2\n")
     assert (inv.r1, inv.r2, inv.h, inv.R, inv.w) == (1, 2, 3, 0.5, 2)
 
 
-def test_parse_invariants_errors():
-    with pytest.raises(InvariantsError, match="h"):
-        parse_invariants("r1=0\nr2=1\nR=1\nw=6")
-    with pytest.raises(InvariantsError, match="root-of-unity"):
-        parse_invariants("r1=0\nr2=1\nh=1\nR=1\nw=0")
-    with pytest.raises(InvariantsError, match="line 2"):
-        parse_invariants("r1=0\nr2=yes\nh=1\nR=1\nw=2")
-    with pytest.raises(InvariantsError, match="line 1"):
-        parse_invariants("nonsense")
-    with pytest.raises(InvariantsError, match="line 3: key 'h' is given twice"):
-        parse_invariants("h=1\nr1=0\nh=1\nr2=1\nR=1\nw=2")
+def test_parse_invariants_errors(tmp_path):
+    path = tmp_path / "inv.txt"
+    for text, message in (
+        ("r1=0\nr2=1\nR=1\nw=6", ": missing required key(s): h"),
+        ("r1=0\nr2=1\nh=1\nR=1\nw=0", "root-of-unity"),
+        ("r1=0\nr2=yes\nh=1\nR=1\nw=2", ":2: cannot parse the value: 'r2=yes'"),
+        ("nonsense", ":1: expected key=value: 'nonsense'"),
+        ("h=1\nr1=0\nh=1\nr2=1\nR=1\nw=2", ":3: key given twice: 'h=1'"),
+        ("x=1", ":1: unknown key: 'x=1'"),
+        ("h=" + "9" * 5000, ":1: cannot parse the value: '" + "h=" + "9" * 38 + "...'"),
+    ):
+        with pytest.raises(InvariantsError) as info:
+            read(tmp_path, text)
+        assert message in str(info.value)
+        if message.startswith(":"):
+            assert str(info.value) == f"{path}{message}"
 
 
-def test_parse_invariants_arbitrary_text_is_invariants_or_error():
+def test_parse_invariants_arbitrary_text_is_invariants_or_error(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     keys = st.sampled_from(["r1", "r2", "h", "R", "w", "disc", "x", ""])
@@ -295,7 +325,7 @@ def test_parse_invariants_arbitrary_text_is_invariants_or_error():
     @hypothesis.given(texts)
     def check(text):
         try:
-            inv = parse_invariants(text)
+            inv = read(tmp_path, text)
         except InvariantsError as exc:
             assert len(str(exc).splitlines()) == 1
             return
@@ -306,11 +336,7 @@ def test_parse_invariants_arbitrary_text_is_invariants_or_error():
 
 
 def test_load_invariants(tmp_path):
-    path = tmp_path / "field.txt"
-    path.write_text("r1=0\nr2=1\nh=1\nR=1\nw=4\ndisc=-4\n")
-    from weilzeta.number_field import load_invariants
-
-    assert load_invariants(path) == quad_invariants(-4)
+    assert read(tmp_path, "r1=0\nr2=1\nh=1\nR=1\nw=4\ndisc=-4\n") == quad_invariants(-4)
 
 
 def test_invariants_type_checks():

@@ -5,6 +5,7 @@ import pytest
 from weilzeta.ff_zeta import ProjectiveSpace
 from weilzeta.fgab import FgAb, GradedTable, Z, rank_weighted_euler, torsion_euler
 from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
+from weilzeta.reports import pn_of_report
 from weilzeta.weil_tables import MOD2_CAVEAT, UNKNOWN_TORSION_CAVEAT, pn_fq_table, pn_of_table
 
 FUNDAMENTAL = [d for d in range(-60, 60) if d not in (0, 1) and is_fundamental(d)]
@@ -99,6 +100,16 @@ def test_pn_of_table_rejects_bad_indices():
         pn_of_table(inv, 1, k_torsion={7: 2})
     with pytest.raises(ValueError):
         pn_of_table(inv, -1)
+
+
+def test_pn_of_k_torsion_order_below_one_is_refused():
+    # an order of 0 is no group order, not an unknown one; library callers
+    # get the same refusal as the command line
+    for order in (0, -1):
+        with pytest.raises(ValueError, match=rf"^k-torsion orders must be >= 1, got K2={order}$"):
+            pn_of_report(quad_invariants(5), 1, {2: order})
+    with pytest.raises(ValueError, match=r"got K3=0$"):
+        pn_of_table(quad_invariants(-4), 1, k_torsion={2: 24, 3: 0})
 
 
 def test_pn_fq_table_shape():
