@@ -4,18 +4,30 @@ Quadratic fields are computed from first principles: class numbers by
 enumerating reduced binary quadratic forms (imaginary case) or cycles of
 reduced indefinite forms (real case), the fundamental unit by one
 period of the continued-fraction expansion of the standard generator of
-the maximal order.  Both enumerations visit only the (a, b) that the
-reduction bounds allow, so either class number costs O(|D|) steps, and
-|D| is bounded by MAX_ABS_DISC on both sides of the check.  Higher-degree
-fields enter only through user-supplied invariant files; nothing here
-does ideal arithmetic.
+the maximal order (Cohen, ch. 5).
+
+Both enumerations are blocked numpy computations over rectangles of
+rows b and columns a, at most _BLOCK elements per array, so memory does
+not grow with |D|.  An imaginary form (a, +-b, c) has 0 <= b <= a and
+4a | b^2 - D.  For a real form, fix b: then |a| * |c| = (D - b^2)/4, and
+with L, U = (sqrt(D) -+ b)/2 the product L * U is that same number, so
+|c| lies strictly between L and U exactly when |a| does.  Only the
+smaller divisor, |a| <= sqrt(|ac|), is tested; it and its partner give
+all four forms (+-a, b, -+c) and (+-c, b, -+a).  The rho-cycles are
+counted by pointer doubling over all forms at once.  Either class
+number costs O(|D|) array steps, and is_fundamental refuses
+|D| > MAX_ABS_DISC before anything else.
+Higher-degree fields enter only through user-supplied invariant files;
+nothing here does ideal arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
+
+import numpy as np
 
 from .ff_zeta import factorize
 
@@ -27,6 +39,8 @@ class InvariantsError(ValueError):
 # the largest |D| either side computes: the character table behind the
 # L-sums peaks at about 19 bytes per unit of |D|
 MAX_ABS_DISC = 2**24
+# elements per array of one block of the class-number enumerations
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -86,35 +100,50 @@ def fundamental_discriminant(d: int) -> int:
 
 
 def is_fundamental(D: int) -> bool:
-    """D = 1 (Q) or the discriminant of Q(sqrt(D)); 0 and squares are not."""
+    """D = 1 (Q) or the discriminant of Q(sqrt(D)); 0 and squares are not.
+    |D| > MAX_ABS_DISC is refused before any trial division."""
+    if abs(D) > MAX_ABS_DISC:
+        raise InvariantsError(f"|disc| = {abs(D)} exceeds the supported bound "
+                              f"MAX_ABS_DISC = {MAX_ABS_DISC}")
+    if D % 4 in (2, 3):
+        return False
     try:
         return D == 1 or fundamental_discriminant(D) == D
     except InvariantsError:
         return False
 
 
+def _divisor_pairs(n, d):
+    """Indices (i, j) with d[j] | n[i], for int64 arrays n and d > 0."""
+    return divmod(np.flatnonzero(n[:, None] % d == 0), len(d))
+
+
 def class_number_imaginary(D: int) -> int:
-    """Count reduced primitive forms (a,b,c) of discriminant D < 0."""
+    """Count reduced forms (a, b, c) of discriminant D < 0: |b| <= a <= c,
+    and b >= 0 when |b| = a or a = c.  Each is primitive: a common factor
+    g would make D/g^2 a discriminant, and D is fundamental."""
     if D >= 0:
         raise InvariantsError("imaginary class number needs D < 0")
     if not is_fundamental(D):
         raise InvariantsError(f"D={D} is not a fundamental discriminant")
+    a_max = isqrt(-D // 3)  # |b| <= a <= c forces 3a^2 <= |D|
     count = 0
-    a = 1
-    while 3 * a * a <= -D:  # reduced forms force a <= sqrt(|D|/3)
-        lo = -a + 1
-        for b in range(lo + (lo - D) % 2, a + 1, 2):  # b^2 = D (mod 4) forces b = D (mod 2)
-            if (b * b - D) % (4 * a):
-                continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (abs(b) == a or a == c):
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            count += 1
-        a += 1
+    b_lo = D % 2  # b^2 = D (mod 4) forces b = D (mod 2)
+    while b_lo <= a_max:
+        # rows b >= b_lo against a >= b_lo; the pairs with a < b drop out below
+        a = np.arange(max(b_lo, 1), a_max + 1, dtype=np.int64)
+        rows = max(1, _BLOCK // len(a))
+        b = np.arange(b_lo, min(b_lo + 2 * rows, a_max + 1), 2, dtype=np.int64)
+        b_lo += 2 * rows
+        ac = (b * b - D) // 4
+        i, j = _divisor_pairs(ac, a)
+        b, a = b[i], a[j]
+        c = ac[i] // a
+        hit = np.minimum(a - b, c - a) >= 0  # b <= a <= c
+        b, a, c = b[hit], a[hit], c[hit]
+        # (a, b, c) and (a, -b, c) are both reduced unless b = 0, b = a or
+        # a = c; the product stays below 2^46 for |D| <= MAX_ABS_DISC
+        count += 2 * len(b) - int(np.count_nonzero(b * (a - b) * (c - a) == 0))
     return count
 
 
@@ -151,41 +180,45 @@ def fundamental_unit_real(D: int):
     return (x, y), reg
 
 
-def _reduced_indefinite_forms(D: int):
-    """All reduced primitive indefinite forms of discriminant D > 0:
-    0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b."""
+def _reduced_form_pairs(D: int):
+    """int64 arrays (a, b, c), all > 0, each triple standing for the two
+    reduced indefinite forms (a, b, -c) and (-a, b, c) of discriminant
+    D > 0; reduced means 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
+
+    For each b the divisors d <= sqrt(ac) of ac = (D - b^2)/4 with
+    2d + b > sqrt(D) are exactly the smaller halves of the pairs {a, c};
+    each gives (d, b, ac/d) and (ac/d, b, d).  As for D < 0, every form
+    of a fundamental discriminant is primitive."""
     s = isqrt(D)
-    forms = []
-    for b in range(1, s + 1):
-        if (b * b - D) % 4:
-            continue
-        ac = (b * b - D) // 4  # negative
-        # only 2|a| in [s - b + 1, s + b] can pass the two checks below
-        for a_abs in range(max(1, (s - b + 2) // 2), (s + b) // 2 + 1):
-            if ac % a_abs:
-                continue
-            # sqrt(D) - b < 2|a|  <=>  D < (2|a| + b)^2  (sqrt irrational)
-            if D >= (2 * a_abs + b) ** 2:
-                continue
-            # 2|a| < sqrt(D) + b  <=>  2|a| - b < sqrt(D)
-            if 2 * a_abs - b > 0 and (2 * a_abs - b) ** 2 >= D:
-                continue
-            for a in (a_abs, -a_abs):
-                c = ac // a
-                if gcd(gcd(abs(a), b), abs(c)) == 1:
-                    forms.append((a, b, c))
-    return forms
+    found = []
+    b_lo = 2 - D % 2  # b = D (mod 2), b >= 1
+    while b_lo <= s:
+        # the smallest b sets the upper bound on d; the lower bound
+        # (s - b + 2)//2 falls by one per row, so `rows` rows span
+        # width + rows - 1 columns: the most rows that fit in _BLOCK
+        d_hi = isqrt((D - b_lo * b_lo) // 4)
+        width = max(1, d_hi - (s - b_lo + 2) // 2 + 1)
+        rows = max(1, (isqrt((width - 1) ** 2 + 4 * _BLOCK) - width + 1) // 2)
+        b = np.arange(b_lo, min(b_lo + 2 * rows, s + 1), 2, dtype=np.int64)
+        b_lo += 2 * rows
+        d = np.arange(max(1, (s - int(b[-1]) + 2) // 2), d_hi + 1, dtype=np.int64)
+        ac = (D - b * b) // 4
+        i, j = _divisor_pairs(ac, d)
+        b, d = b[i], d[j]
+        e = ac[i] // d
+        # d <= e is d <= sqrt(ac); 2d + b > s is 2d > sqrt(D) - b (sqrt irrational)
+        hit = np.minimum(e - d, 2 * d + b - s - 1) >= 0
+        b, d, e = b[hit], d[hit], e[hit]
+        two = d < e  # d = e is one triple
+        found += [(d, b, e), (e[two], b[two], d[two])]
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _rho(form, D: int, s: int):
-    """Reduction/neighbor step on reduced indefinite forms."""
-    _, b, c = form
-    two_c = 2 * abs(c)
-    # unique r = -b (mod 2|c|) in (sqrt(D) - 2|c|, sqrt(D)]
-    r = (-b) % two_c
-    r += ((s - r) // two_c) * two_c
-    c2 = (r * r - D) // (4 * c)
-    return (c, r, c2)
+def _reduced_indefinite_forms(D: int):
+    """The forms of _reduced_form_pairs as a list of (a, b, c), ordered by
+    b, then |a|, then a > 0 before a < 0."""
+    pairs = sorted(zip(*(x.tolist() for x in _reduced_form_pairs(D))), key=lambda p: (p[1], p[0]))
+    return [form for a, b, c in pairs for form in ((a, b, -c), (-a, b, c))]
 
 
 def class_number_real(D: int) -> int:
@@ -197,15 +230,30 @@ def class_number_real(D: int) -> int:
     if D <= 0 or not is_fundamental(D):
         raise InvariantsError(f"D={D} is not a fundamental discriminant > 0")
     s = isqrt(D)
-    cycle_of = {}
-    for start in _reduced_indefinite_forms(D):
-        f = start
-        while f not in cycle_of:
-            cycle_of[f] = start
-            f = _rho(f, D, s)
-    cycles = len(set(cycle_of.values()))
-    b = s if (D - s) % 2 == 0 else s - 1  # both forms below are reduced
-    if cycle_of[(1, b, (b * b - D) // 4)] == cycle_of[(-1, b, (D - b * b) // 4)]:
+    a, b, c = _reduced_form_pairs(D)
+    n = len(a)
+    # form i < n is (a, b, -c) and form n + i is (-a, b, c).  rho takes them
+    # to (-c, r, .) and (c, r, .), r = -b (mod 2c) in (sqrt(D) - 2c, sqrt(D)]:
+    # the two forms of the triple (c, r, .), in the other half
+    r = s - (s + b) % (2 * c)
+    # find those triples, then the principal form's (1, b0, .), by (a, b):
+    # it fixes a triple, and 0 < a, b <= s give distinct keys (0 < r <= s
+    # too, as rho keeps forms reduced)
+    b0 = s if (D - s) % 2 == 0 else s - 1
+    key, wanted = a * (s + 1) + b, np.append(c * (s + 1) + r, s + 1 + b0)
+    # the keys are distinct, so any sort will do; the stable one (timsort)
+    # pages in less of numpy than the default, and peak memory shows it
+    order = np.argsort(key, kind="stable")
+    at = order[np.minimum(np.searchsorted(key[order], wanted), n - 1)]
+    if not np.array_equal(key[at], wanted):
+        raise InvariantsError(f"a form is missing from the reduced forms, D={D}")
+    step, principal = np.concatenate((at[:-1] + n, at[:-1])), at[-1]
+    label = np.arange(2 * n)
+    for _ in range((2 * n - 1).bit_length()):  # 2^rounds >= 2n >= every cycle
+        label = np.minimum(label, label[step])  # the least index seen ahead
+        step = step[step]
+    cycles = int(np.count_nonzero(label == np.arange(2 * n)))
+    if label[principal] == label[principal + n]:
         return cycles
     if cycles % 2:
         raise InvariantsError(f"odd narrow class number with norm +1 unit, D={D}")
@@ -217,10 +265,7 @@ def quad_invariants(D: int) -> NumberFieldInvariants:
     (D = 1 gives Q itself)."""
     if D == 1:
         return RATIONALS
-    if abs(D) > MAX_ABS_DISC:  # before any O(sqrt |D|) trial division
-        raise InvariantsError(f"|disc| = {abs(D)} exceeds the supported bound "
-                              f"MAX_ABS_DISC = {MAX_ABS_DISC}")
-    if not is_fundamental(D):
+    if not is_fundamental(D):  # refuses |D| > MAX_ABS_DISC first
         try:
             hint = f" (did you mean {fundamental_discriminant(D)}?)"
         except InvariantsError:  # a square defines no quadratic field
@@ -241,24 +286,32 @@ def read_key_values(path, parse) -> dict:
     """{key: value} from key=value lines ('#' comments, blank lines skipped),
     (key, value) = parse(key, text), each key once after parse.  parse raises
     InvariantsError(reason); every error is '<path>:<line>: <reason>: <line cut to 40>'."""
+
+    def refused(lineno, reason, line):
+        shown = line if len(line) <= 40 else line[:40] + "..."
+        return InvariantsError(f"{path}:{lineno}: {reason}: {shown!r}")
+
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, text = (part.strip() for part in line.partition("="))
-            try:
-                if not eq:
-                    raise InvariantsError("expected key=value")
-                key, value = parse(key, text)
-                if key in values:
-                    raise InvariantsError("key given twice")
-            except ValueError as exc:  # int() and float() echo the whole text
-                reason = exc if isinstance(exc, InvariantsError) else "cannot parse the value"
-                shown = line if len(line) <= 40 else line[:40] + "..."
-                raise InvariantsError(f"{path}:{lineno}: {reason}: {shown!r}") from None
-            values[key] = value
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode splits
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise refused(lineno, "not UTF-8 text", raw.decode("utf-8", "replace").strip()) from None
+        if not line:
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise InvariantsError("expected key=value")
+            key, value = parse(key, text)
+            if key in values:
+                raise InvariantsError("key given twice")
+        except ValueError as exc:  # int() and float() echo the whole text
+            reason = exc if isinstance(exc, InvariantsError) else "cannot parse the value"
+            raise refused(lineno, reason, line) from None
+        values[key] = value
     return values
 
 
@@ -277,4 +330,7 @@ def load_invariants(path) -> NumberFieldInvariants:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise InvariantsError(f"{path}: missing required key(s): {', '.join(missing)}")
-    return NumberFieldInvariants(**values)
+    try:
+        return NumberFieldInvariants(**values)
+    except InvariantsError as exc:
+        raise InvariantsError(f"{path}: {exc}") from None

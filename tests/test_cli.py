@@ -767,6 +767,27 @@ def test_cli_key_value_file_error_is_one_short_line(tmp_path, verb, key, rest, b
     assert err.startswith(f"error: {path}:{line}: ")
 
 
+@pytest.mark.parametrize("verb", [
+    ("numberring", "--invariants"),
+    ("pn-of", "--disc", "5", "--n", "1", "--k-torsion"),
+], ids=["invariants", "k-torsion"])
+def test_cli_key_value_file_not_utf8_names_file_and_line(tmp_path, verb):
+    path = tmp_path / "file.txt"
+    path.write_bytes(b"# header\n\xff\xfe=1\n")
+    code, out, err = cli(*verb, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:2: not UTF-8 text: {chr(0xFFFD) * 2 + '=1'!r}\n"
+
+
+def test_cli_invariants_record_error_names_the_file(tmp_path):
+    # a value that parses but that NumberFieldInvariants refuses
+    path = tmp_path / "inv.txt"
+    path.write_text("r1=0\nr2=1\nh=1\nR=1\nw=0\n")
+    for verb in (("numberring",), ("pn-of", "--n", "1")):
+        code, out, err = cli(*verb, "--invariants", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: root-of-unity count must be >= 1\n")
+
+
 def test_cli_invariants_disc_above_bound_is_unsupported(tmp_path):
     path = tmp_path / "inv.txt"
     path.write_text("r1=2\nr2=0\nh=1\nR=1\nw=2\ndisc=16777217\n")

@@ -5,11 +5,14 @@ from math import gcd, isqrt
 
 import subprocess
 import sys
+import time
 
 import pytest
 
-from weilzeta.lfunc import l_prime_at_0
+from weilzeta import number_field
+from weilzeta.lfunc import character_table, l_prime_at_0
 from weilzeta.number_field import (
+    MAX_ABS_DISC,
     InvariantsError,
     NumberFieldInvariants,
     RATIONALS,
@@ -96,6 +99,25 @@ def test_is_fundamental_matches_textbook_rule():
     assert sum(map(is_fundamental, discs)) == 12_161
 
 
+def test_is_fundamental_refuses_a_huge_disc_at_once(monkeypatch):
+    # trial division of 2 * 10000019 * 10000079 took about a second, and
+    # near 10^30 it never ended; every library entry point goes through here
+    for D in (2 * 10000019 * 10000079, 5 * 10000019 * 10000079, -(10**30 + 3),
+              MAX_ABS_DISC + 1, -MAX_ABS_DISC - 3):
+        message = (rf"^\|disc\| = {abs(D)} exceeds the supported bound "
+                   rf"MAX_ABS_DISC = {MAX_ABS_DISC}$")
+        signed = (class_number_real, fundamental_unit_real) if D > 0 else (class_number_imaginary,)
+        for call in (is_fundamental, quad_invariants, character_table, *signed):
+            start = time.perf_counter()
+            with pytest.raises(InvariantsError, match=message):
+                call(D)
+            assert time.perf_counter() - start < 0.1
+    # D = 2, 3 (mod 4) is refused without factoring
+    monkeypatch.setattr(number_field, "factorize", None)
+    for D in (MAX_ABS_DISC - 2, MAX_ABS_DISC - 1, -MAX_ABS_DISC + 2, -MAX_ABS_DISC + 3, 2, 3, -1):
+        assert is_fundamental(D) is False
+
+
 def test_is_fundamental_zero_is_false():
     assert is_fundamental(0) is False
     with pytest.raises(InvariantsError, match=r"^0 is not a fundamental discriminant$"):
@@ -118,6 +140,101 @@ def test_class_number_imaginary_known_values():
     known = {-7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -47: 5, -84: 4, -163: 1}
     for d, h in known.items():
         assert class_number_imaginary(d) == h
+
+
+def scalar_class_number_imaginary(D):
+    """Reference: count reduced primitive forms one (a, b) at a time."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -D:  # reduced forms force a <= sqrt(|D|/3)
+        lo = -a + 1
+        for b in range(lo + (lo - D) % 2, a + 1, 2):  # b^2 = D (mod 4) forces b = D (mod 2)
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (abs(b) == a or a == c):
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            count += 1
+        a += 1
+    return count
+
+
+def scalar_reduced_forms(D):
+    """Reference: the reduced indefinite forms, testing every 2|a| in the
+    window sqrt(D) - b < 2|a| < sqrt(D) + b one at a time."""
+    s = isqrt(D)
+    forms = []
+    for b in range(1, s + 1):
+        if (b * b - D) % 4:
+            continue
+        ac = (b * b - D) // 4  # negative
+        for a_abs in range(max(1, (s - b + 2) // 2), (s + b) // 2 + 1):
+            if ac % a_abs:
+                continue
+            if D >= (2 * a_abs + b) ** 2:
+                continue
+            if 2 * a_abs - b > 0 and (2 * a_abs - b) ** 2 >= D:
+                continue
+            for a in (a_abs, -a_abs):
+                c = ac // a
+                if gcd(gcd(abs(a), b), abs(c)) == 1:
+                    forms.append((a, b, c))
+    return forms
+
+
+def scalar_class_number_real(D):
+    """Reference: follow rho from each form, one step at a time."""
+    s = isqrt(D)
+
+    def rho(form):
+        _, b, c = form
+        two_c = 2 * abs(c)
+        r = (-b) % two_c  # the r = -b (mod 2|c|) in (sqrt(D) - 2|c|, sqrt(D)]
+        r += ((s - r) // two_c) * two_c
+        return (c, r, (r * r - D) // (4 * c))
+
+    cycle_of = {}
+    for start in scalar_reduced_forms(D):
+        f = start
+        while f not in cycle_of:
+            cycle_of[f] = start
+            f = rho(f)
+    cycles = len(set(cycle_of.values()))
+    b = s if (D - s) % 2 == 0 else s - 1
+    if cycle_of[(1, b, (b * b - D) // 4)] == cycle_of[(-1, b, (D - b * b) // 4)]:
+        return cycles
+    return cycles // 2
+
+
+def test_class_numbers_match_scalar_loops():
+    # every fundamental |D| <= 20,000, then D where the blocks of 2^12
+    # elements change shape: the imaginary enumeration needs a second
+    # block from |D| = 24,308 on (the real one from 16,645, in the sweep),
+    # a block holds a single row b once sqrt(|D|/3) passes 2048, and the
+    # largest |D| either side supports
+    for D in fundamental_range(-20_000, 20_001):
+        if D < 0:
+            assert class_number_imaginary(D) == scalar_class_number_imaginary(D), D
+        else:
+            assert class_number_real(D) == scalar_class_number_real(D), D
+    for D in (*fundamental_range(-24_340, -24_280), -12_582_907, -12_582_915, -12_595_204,
+              -16_777_204, -16_777_211):
+        assert class_number_imaginary(D) == scalar_class_number_imaginary(D), D
+    for D in (16_777_212, 16_777_213):
+        assert class_number_real(D) == scalar_class_number_real(D), D
+
+
+def test_class_number_real_refuses_a_missing_form(monkeypatch):
+    # rho maps the reduced forms onto themselves: drop one, and the image
+    # of the form before it in its cycle is not found
+    full = number_field._reduced_form_pairs
+    monkeypatch.setattr(number_field, "_reduced_form_pairs", lambda D: tuple(x[1:] for x in full(D)))
+    with pytest.raises(InvariantsError, match=r"^a form is missing from the reduced forms, D=229$"):
+        class_number_real(229)
 
 
 def test_class_number_imaginary_vs_brute_force():
