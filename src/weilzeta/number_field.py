@@ -6,17 +6,17 @@ reduced indefinite forms (real case), the fundamental unit by one
 period of the continued-fraction expansion of the standard generator of
 the maximal order (Cohen, ch. 5).
 
-Both enumerations are blocked numpy computations over rectangles of
-rows b and columns a, at most _BLOCK elements per array, so memory does
-not grow with |D|.  An imaginary form (a, +-b, c) has 0 <= b <= a and
-4a | b^2 - D.  For a real form, fix b: then |a| * |c| = (D - b^2)/4, and
-with L, U = (sqrt(D) -+ b)/2 the product L * U is that same number, so
-|c| lies strictly between L and U exactly when |a| does.  Only the
-smaller divisor, |a| <= sqrt(|ac|), is tested; it and its partner give
-all four forms (+-a, b, -+c) and (+-c, b, -+a).  The rho-cycles are
-counted by pointer doubling over all forms at once.  Either class
-number costs O(|D|) array steps, and is_fundamental refuses
-|D| > MAX_ABS_DISC before anything else.
+Both class numbers read one blocked numpy walk over the triples
+(b, d, e) with b = D (mod 2), d * e = |D - b^2|/4 and lo(b) <= d <= e,
+in blocks of rows b and columns d of at most _BLOCK elements, so memory
+does not grow with |D|.  For D < 0, lo(b) = max(b, 1) makes (d, +-b, e)
+the reduced forms.  For D > 0 and a form (a, b, c), |a| * |c| = d * e,
+and with L, U = (sqrt(D) -+ b)/2 the product L * U is that same number,
+so |c| lies strictly between L and U exactly when |a| does: lo(b) is the
+least d > L, and each triple gives the forms (+-d, b, -+e) and
+(+-e, b, -+d), whose rho-cycles are counted by pointer doubling over all
+forms at once.  Either class number costs O(|D|) array steps, and
+is_fundamental refuses |D| > MAX_ABS_DISC before anything else.
 Higher-degree fields enter only through user-supplied invariant files;
 nothing here does ideal arithmetic.
 """
@@ -113,38 +113,51 @@ def is_fundamental(D: int) -> bool:
         return False
 
 
-def _divisor_pairs(n, d):
-    """Indices (i, j) with d[j] | n[i], for int64 arrays n and d > 0."""
-    return divmod(np.flatnonzero(n[:, None] % d == 0), len(d))
+def _reduced_triples(D: int):
+    """int64 arrays (b, d, e) of the walk in the module docstring: b runs
+    over 0 <= b <= sqrt(|D|/3) for D < 0 and 0 < b <= sqrt(D) for D > 0.  Every form is primitive: a
+    common factor g would make D/g^2 a discriminant, and D is fundamental."""
+    if D < 0:  # b <= a <= c forces 3b^2 <= |D|
+        b_max, first = isqrt(-D // 3), D % 2
+    else:
+        b_max, first = isqrt(D), 2 - D % 2
+
+    def lo(b):  # of one row or an array of rows; d >= 1 comes from the columns
+        return b if D < 0 else (b_max - b) // 2 + 1  # sqrt(D) is irrational
+
+    found = []
+    while first <= b_max:
+        # with hi(b) = sqrt(|D - b^2|/4), [min lo, max hi] widens by at most
+        # one column per row (D > 0: lo falls by one, hi falls; D < 0: lo
+        # rises, hi rises by at most one), so `rows` rows span at most
+        # width + rows - 1 columns: the most rows that fit in _BLOCK
+        width = max(1, isqrt(abs(D - first * first) // 4) - lo(first) + 1)
+        rows = max(1, (isqrt((width - 1) ** 2 + 4 * _BLOCK) - width + 1) // 2)
+        b = np.arange(first, min(first + 2 * rows, b_max + 1), 2, dtype=np.int64)
+        last = int(b[-1])
+        hi = isqrt(max(abs(D - first * first), abs(D - last * last)) // 4)
+        d = np.arange(max(1, min(lo(first), lo(last))), hi + 1, dtype=np.int64)
+        first += 2 * rows
+        de = np.abs(D - b * b) // 4
+        i, j = divmod(np.flatnonzero(de[:, None] % d == 0), len(d))
+        b, d = b[i], d[j]
+        e = de[i] // d
+        hit = np.minimum(e - d, d - lo(b)) >= 0
+        found.append((b[hit], d[hit], e[hit]))
+    return found[0] if len(found) == 1 else tuple(np.concatenate(x) for x in zip(*found))
 
 
 def class_number_imaginary(D: int) -> int:
     """Count reduced forms (a, b, c) of discriminant D < 0: |b| <= a <= c,
-    and b >= 0 when |b| = a or a = c.  Each is primitive: a common factor
-    g would make D/g^2 a discriminant, and D is fundamental."""
+    and b >= 0 when |b| = a or a = c."""
     if D >= 0:
         raise InvariantsError("imaginary class number needs D < 0")
     if not is_fundamental(D):
         raise InvariantsError(f"D={D} is not a fundamental discriminant")
-    a_max = isqrt(-D // 3)  # |b| <= a <= c forces 3a^2 <= |D|
-    count = 0
-    b_lo = D % 2  # b^2 = D (mod 4) forces b = D (mod 2)
-    while b_lo <= a_max:
-        # rows b >= b_lo against a >= b_lo; the pairs with a < b drop out below
-        a = np.arange(max(b_lo, 1), a_max + 1, dtype=np.int64)
-        rows = max(1, _BLOCK // len(a))
-        b = np.arange(b_lo, min(b_lo + 2 * rows, a_max + 1), 2, dtype=np.int64)
-        b_lo += 2 * rows
-        ac = (b * b - D) // 4
-        i, j = _divisor_pairs(ac, a)
-        b, a = b[i], a[j]
-        c = ac[i] // a
-        hit = np.minimum(a - b, c - a) >= 0  # b <= a <= c
-        b, a, c = b[hit], a[hit], c[hit]
-        # (a, b, c) and (a, -b, c) are both reduced unless b = 0, b = a or
-        # a = c; the product stays below 2^46 for |D| <= MAX_ABS_DISC
-        count += 2 * len(b) - int(np.count_nonzero(b * (a - b) * (c - a) == 0))
-    return count
+    b, a, c = _reduced_triples(D)
+    # (a, b, c) and (a, -b, c) are both reduced unless b = 0, b = a or
+    # a = c; the product stays below 2^46 for |D| <= MAX_ABS_DISC
+    return 2 * len(b) - int(np.count_nonzero(b * (a - b) * (c - a) == 0))
 
 
 def fundamental_unit_real(D: int):
@@ -180,57 +193,18 @@ def fundamental_unit_real(D: int):
     return (x, y), reg
 
 
-def _reduced_form_pairs(D: int):
-    """int64 arrays (a, b, c), all > 0, each triple standing for the two
-    reduced indefinite forms (a, b, -c) and (-a, b, c) of discriminant
-    D > 0; reduced means 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
-
-    For each b the divisors d <= sqrt(ac) of ac = (D - b^2)/4 with
-    2d + b > sqrt(D) are exactly the smaller halves of the pairs {a, c};
-    each gives (d, b, ac/d) and (ac/d, b, d).  As for D < 0, every form
-    of a fundamental discriminant is primitive."""
-    s = isqrt(D)
-    found = []
-    b_lo = 2 - D % 2  # b = D (mod 2), b >= 1
-    while b_lo <= s:
-        # the smallest b sets the upper bound on d; the lower bound
-        # (s - b + 2)//2 falls by one per row, so `rows` rows span
-        # width + rows - 1 columns: the most rows that fit in _BLOCK
-        d_hi = isqrt((D - b_lo * b_lo) // 4)
-        width = max(1, d_hi - (s - b_lo + 2) // 2 + 1)
-        rows = max(1, (isqrt((width - 1) ** 2 + 4 * _BLOCK) - width + 1) // 2)
-        b = np.arange(b_lo, min(b_lo + 2 * rows, s + 1), 2, dtype=np.int64)
-        b_lo += 2 * rows
-        d = np.arange(max(1, (s - int(b[-1]) + 2) // 2), d_hi + 1, dtype=np.int64)
-        ac = (D - b * b) // 4
-        i, j = _divisor_pairs(ac, d)
-        b, d = b[i], d[j]
-        e = ac[i] // d
-        # d <= e is d <= sqrt(ac); 2d + b > s is 2d > sqrt(D) - b (sqrt irrational)
-        hit = np.minimum(e - d, 2 * d + b - s - 1) >= 0
-        b, d, e = b[hit], d[hit], e[hit]
-        two = d < e  # d = e is one triple
-        found += [(d, b, e), (e[two], b[two], d[two])]
-    return tuple(np.concatenate(parts) for parts in zip(*found))
-
-
-def _reduced_indefinite_forms(D: int):
-    """The forms of _reduced_form_pairs as a list of (a, b, c), ordered by
-    b, then |a|, then a > 0 before a < 0."""
-    pairs = sorted(zip(*(x.tolist() for x in _reduced_form_pairs(D))), key=lambda p: (p[1], p[0]))
-    return [form for a, b, c in pairs for form in ((a, b, -c), (-a, b, c))]
-
-
 def class_number_real(D: int) -> int:
     """Class number of the real quadratic field of discriminant D > 0:
     count rho-cycles of reduced indefinite forms (the narrow class
     number), halved when the fundamental unit has norm +1.  The norm is
     -1 exactly when the principal form (1, b, c) and its negative
     (-1, b, -c) share a cycle, so the unit itself is not needed."""
-    if D <= 0 or not is_fundamental(D):
-        raise InvariantsError(f"D={D} is not a fundamental discriminant > 0")
+    if D <= 1 or not is_fundamental(D):
+        raise InvariantsError(f"D={D} is not a fundamental discriminant > 1")
     s = isqrt(D)
-    a, b, c = _reduced_form_pairs(D)
+    b, d, e = _reduced_triples(D)
+    two = d < e  # d = e is one pair of forms
+    a, b, c = (np.concatenate(x) for x in ((d, e[two]), (b, b[two]), (e, d[two])))
     n = len(a)
     # form i < n is (a, b, -c) and form n + i is (-a, b, c).  rho takes them
     # to (-c, r, .) and (c, r, .), r = -b (mod 2c) in (sqrt(D) - 2c, sqrt(D)]:

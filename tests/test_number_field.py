@@ -6,6 +6,7 @@ from math import gcd, isqrt
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,6 @@ from weilzeta.number_field import (
     InvariantsError,
     NumberFieldInvariants,
     RATIONALS,
-    _reduced_indefinite_forms,
     class_number_imaginary,
     class_number_real,
     fundamental_discriminant,
@@ -211,28 +211,63 @@ def scalar_class_number_real(D):
 
 
 def test_class_numbers_match_scalar_loops():
-    # every fundamental |D| <= 20,000, then D where the blocks of 2^12
-    # elements change shape: the imaginary enumeration needs a second
-    # block from |D| = 24,308 on (the real one from 16,645, in the sweep),
-    # a block holds a single row b once sqrt(|D|/3) passes 2048, and the
-    # largest |D| either side supports
+    # every fundamental |D| <= 20,000; D where blocks of 2^12 elements
+    # change shape: the walk needs a second block from D = -17,960 and from
+    # D = 16,645 on (in the sweep too), and an earlier blocking did from
+    # D = -24,308 on and held one row b per block past sqrt(|D|/3) = 2048;
+    # and the largest |D| either side supports
     for D in fundamental_range(-20_000, 20_001):
         if D < 0:
             assert class_number_imaginary(D) == scalar_class_number_imaginary(D), D
         else:
             assert class_number_real(D) == scalar_class_number_real(D), D
-    for D in (*fundamental_range(-24_340, -24_280), -12_582_907, -12_582_915, -12_595_204,
-              -16_777_204, -16_777_211):
+    for D in (-17_960, *fundamental_range(-24_340, -24_280), -12_582_907, -12_582_915,
+              -12_595_204, -16_777_204, -16_777_211):
         assert class_number_imaginary(D) == scalar_class_number_imaginary(D), D
-    for D in (16_777_212, 16_777_213):
+    for D in (16_645, 16_777_212, 16_777_213):
         assert class_number_real(D) == scalar_class_number_real(D), D
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_class_numbers_do_not_depend_on_the_block_size(monkeypatch, block):
+    # small blocks split every walk, down to one row wider than the block
+    monkeypatch.setattr(number_field, "_BLOCK", block)
+    for D in fundamental_range(-600, 601):
+        if D < 0:
+            assert class_number_imaginary(D) == scalar_class_number_imaginary(D), D
+        else:
+            assert class_number_real(D) == scalar_class_number_real(D), D
+
+
+def traced_peak(fn):
+    """The peak of memory traced by tracemalloc while fn() runs, MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_class_numbers_keep_transients_to_blocks():
+    # about 0.23 MiB each: the blocks of 2^12 elements, and for D > 0 the
+    # forms and their rho pointers
+    assert traced_peak(lambda: class_number_imaginary(-16_777_211)) < 1
+    assert traced_peak(lambda: class_number_real(16_777_213)) < 1
+
+
+def test_class_number_real_refuses_d_at_most_one():
+    # is_fundamental(1) is True (D = 1 stands for Q), which has no reduced forms
+    for D in (1, 0, -4):
+        with pytest.raises(InvariantsError, match=rf"^D={D} is not a fundamental discriminant > 1$"):
+            class_number_real(D)
 
 
 def test_class_number_real_refuses_a_missing_form(monkeypatch):
     # rho maps the reduced forms onto themselves: drop one, and the image
     # of the form before it in its cycle is not found
-    full = number_field._reduced_form_pairs
-    monkeypatch.setattr(number_field, "_reduced_form_pairs", lambda D: tuple(x[1:] for x in full(D)))
+    full = number_field._reduced_triples
+    monkeypatch.setattr(number_field, "_reduced_triples", lambda D: tuple(x[1:] for x in full(D)))
     with pytest.raises(InvariantsError, match=r"^a form is missing from the reduced forms, D=229$"):
         class_number_real(229)
 
@@ -325,9 +360,18 @@ def full_scan_reduced_forms(D):
     return forms
 
 
+def reduced_indefinite_forms(D):
+    """The forms of the walk for D > 0 as a list of (a, b, c), ordered by
+    b, then |a|, then a > 0 before a < 0."""
+    b, d, e = (x.tolist() for x in number_field._reduced_triples(D))
+    pairs = sorted(((a, b, c) for b, d, e in zip(b, d, e) for a, c in {(d, e), (e, d)}),
+                   key=lambda p: (p[1], p[0]))
+    return [form for a, b, c in pairs for form in ((a, b, -c), (-a, b, c))]
+
+
 def test_reduced_forms_window_matches_full_scan():
     for d in fundamental_range(2, 5000):
-        assert _reduced_indefinite_forms(d) == full_scan_reduced_forms(d), d
+        assert reduced_indefinite_forms(d) == full_scan_reduced_forms(d), d
 
 
 def test_class_numbers_at_bench_sizes():
