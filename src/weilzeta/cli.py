@@ -23,7 +23,6 @@ import re
 import sys
 
 from . import ff_zeta
-from .acceptance import run_suite
 from .number_field import InvariantsError, load_invariants, quad_invariants, read_key_values
 from .reports import emit_report, ff_report, load_report, open_report, pn_of_report
 
@@ -146,6 +145,7 @@ def run(argv=None) -> int:
             fibers = [load_report(f) for f in args.fibers]
             report = open_report(base, fibers)
         else:  # suite; argparse refuses any other verb
+            from .acceptance import run_suite
             return 0 if run_suite() else 2
         print(emit_report(report, as_json=args.json))
     except (ValueError, OSError) as exc:  # every error class here subclasses ValueError

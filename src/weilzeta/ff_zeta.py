@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log10
 
-import numpy as np
+# numpy is imported by the functions that use it: the exact verbs start without it
 
 SIZE_BOUND = 2**20
 # log 0 in FiniteField.zech: a Horner step of count_points adds less than
@@ -215,10 +215,10 @@ class FiniteField:
     p: int
     k: int
     modulus: tuple
-    log: np.ndarray
-    zech: np.ndarray
-    reps: np.ndarray
-    sizes: np.ndarray
+    log: numpy.ndarray
+    zech: numpy.ndarray
+    reps: numpy.ndarray
+    sizes: numpy.ndarray
 
     @property
     def q(self) -> int:
@@ -231,6 +231,7 @@ def _log_tables(p: int, k: int, modulus):
     columns of g^0..g^(B-1), B = min(BLOCK, n), are filled by doubling;
     block a, g^(aB)..g^(aB+B-1), is g^(aB)'s k x k matrix times that
     base, and only its codes are kept."""
+    import numpy as np
     q = p**k
     n = q - 1
     cofactors = [n // l for l in factorize(n)]
@@ -278,6 +279,7 @@ def _frobenius_orbits(p: int, k: int):
     """(reps, sizes) of F_{p^k} as described in FiniteField: per block of
     i in [0, q-1), i is a rep if it is the least of i p^t mod (q-1),
     t < k, and its orbit has k / #{t : i p^t = i} elements."""
+    import numpy as np
     n = p**k - 1
     reps, sizes = [], []
     for start in range(0, n, BLOCK):
@@ -327,9 +329,10 @@ def make_field(p: int, k: int) -> FiniteField:
     return field
 
 
-def legendre(p: int) -> np.ndarray:
+def legendre(p: int) -> numpy.ndarray:
     """The Legendre symbol mod an odd prime p as an int8 table: 0 at 0,
     +1 at the nonzero squares r^2 mod p and -1 elsewhere."""
+    import numpy as np
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
     half = (p + 1) // 2
@@ -406,6 +409,7 @@ def count_points(variety, m: int = 1) -> int:
     per Frobenius orbit on the field's Zech table, one block of orbits at
     a time, in uint32 logs updated in place.
     """
+    import numpy as np
     if m < 1:
         raise ValueError("m must be >= 1")
     if not isinstance(variety, CurveSpec):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
+# numpy is imported by the functions that use it: the exact verbs start without it
 
 from .ff_zeta import factorize, legendre
 from .number_field import MAX_ABS_DISC, NumberFieldInvariants, is_fundamental, InvariantsError
@@ -27,13 +27,14 @@ class AnalyticSideUnavailable(ValueError):
     """The analytic side is only computed for Q and quadratic fields."""
 
 
-def character_table(D: int) -> np.ndarray:
+def character_table(D: int) -> numpy.ndarray:
     """chi_D(a) for 0 <= a < |D| as int8, D fundamental with |D| > 1.
 
     D is the product of prime discriminants -4, +-8 and
     p* = (-1)^((p-1)/2) p, one for each prime p | D, and chi_D is the
     product of their characters; the character of p* is the Legendre
     symbol mod p."""
+    import numpy as np
     if not is_fundamental(D) or abs(D) <= 1:
         raise InvariantsError(f"D={D} is not a fundamental discriminant with |D| > 1")
     m, two_adic = abs(D), D
@@ -53,6 +54,7 @@ def l_at_0(D: int) -> Fraction:
     """L(0, chi_D) as an exact rational: sum chi(a) * (1/2 - a/|D|) over
     one period, which is -sum chi(a) * a / |D| since chi sums to 0.
     Vanishes exactly for even characters (D > 0)."""
+    import numpy as np
     chi = character_table(D)  # the int64 sum is exact: |sum| < |D|^2 <= 2^48
     return Fraction(-int(np.arange(abs(D), dtype=np.int64) @ chi), abs(D))
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
+# numpy is imported by the functions that use it: the exact verbs start without it
 
 from .ff_zeta import factorize
 
@@ -117,6 +117,7 @@ def _reduced_triples(D: int):
     """int64 arrays (b, d, e) of the walk in the module docstring: b runs
     over 0 <= b <= sqrt(|D|/3) for D < 0 and 0 < b <= sqrt(D) for D > 0.  Every form is primitive: a
     common factor g would make D/g^2 a discriminant, and D is fundamental."""
+    import numpy as np
     if D < 0:  # b <= a <= c forces 3b^2 <= |D|
         b_max, first = isqrt(-D // 3), D % 2
     else:
@@ -150,6 +151,7 @@ def _reduced_triples(D: int):
 def class_number_imaginary(D: int) -> int:
     """Count reduced forms (a, b, c) of discriminant D < 0: |b| <= a <= c,
     and b >= 0 when |b| = a or a = c."""
+    import numpy as np
     if D >= 0:
         raise InvariantsError("imaginary class number needs D < 0")
     if not is_fundamental(D):
@@ -199,6 +201,7 @@ def class_number_real(D: int) -> int:
     number), halved when the fundamental unit has norm +1.  The norm is
     -1 exactly when the principal form (1, b, c) and its negative
     (-1, b, -c) share a cycle, so the unit itself is not needed."""
+    import numpy as np
     if D <= 1 or not is_fundamental(D):
         raise InvariantsError(f"D={D} is not a fundamental discriminant > 1")
     s = isqrt(D)

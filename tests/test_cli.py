@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -839,6 +841,71 @@ def test_zeta_modules_import_no_comparison_layer():
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert module in loaded and not loaded & forbidden, loaded & forbidden
+
+
+# [step, exit code (None for an import), numpy loaded after it], one per step
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+steps = []
+import weilzeta
+steps.append(["import weilzeta", None, "numpy" in sys.modules])
+from weilzeta import cli
+steps.append(["import weilzeta.cli", None, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_is_imported_only_to_count_or_sum(tmp_path):
+    # the exact sides (P^n over F_q, Q, open's quotients, an invariants file
+    # above n = 0) need no numpy; point counts, class numbers and L-sums do.
+    # Each probe is a fresh process, since this one has numpy already
+    def probe(*requests):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(requests)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    base, fiber, inv = tmp_path / "base.json", tmp_path / "fiber.json", tmp_path / "inv.txt"
+    base.write_text(cli("pn-of", "--disc", "1", "--n", "0", "--json")[1])
+    fiber.write_text(cli("ff", "pn", "--q", "3", "--n", "0", "--json")[1])
+    inv.write_text("r1=0\nr2=1\nh=1\nR=1\nw=4\ndisc=-4\n")
+    exact = ["ff pn --q 9 --n 2 --json", "numberring --disc 1", "pn-of --disc 1 --n 3"]
+    steps = probe(*map(str.split, exact), ["open", str(base), str(fiber)],
+                  ["pn-of", "--invariants", str(inv), "--n", "1"])
+    assert steps == [["import weilzeta", None, False], ["import weilzeta.cli", None, False],
+                     *([request, 0, False] for request in exact), [f"open {base} {fiber}", 0, False],
+                     [f"pn-of --invariants {inv} --n 1", 0, False]]
+    for request in ("ff curve --p 13 --f x^3+x+1", "numberring --disc -4"):
+        assert probe(request.split())[-1] == [request, 0, True]
+
+
+def test_import_of_cli_loads_every_traced_function():
+    # bench/tracing.py wraps only the bindings it finds in sys.modules when
+    # the tracer starts, after `import weilzeta.cli`: a module loaded later,
+    # or a function that is no module attribute, leaves its metrics absent
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED")
+    code = """
+import json, sys, types, weilzeta.cli
+missing = []
+for short, names in json.loads(sys.argv[1]).items():
+    module = sys.modules.get(f"weilzeta.{short}")
+    if module is None:
+        missing.append(short)
+        continue
+    missing += [f"{short}.{name}" for name in names or ()
+                if not isinstance(getattr(module, name, None), types.FunctionType)]
+print(json.dumps(missing))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(traced)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert traced and json.loads(proc.stdout) == []
 
 
 def test_cli_fuzz_verbs_and_flags(tmp_path, capsys):
