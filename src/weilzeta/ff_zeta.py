@@ -31,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log10
+from typing import TYPE_CHECKING
 
-# numpy is imported by the functions that use it: the exact verbs start without it
+if TYPE_CHECKING:  # the functions that use numpy import it; the exact verbs start without it
+    import numpy
 
 SIZE_BOUND = 2**20
 # log 0 in FiniteField.zech: a Horner step of count_points adds less than

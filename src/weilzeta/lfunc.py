@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# numpy is imported by the functions that use it: the exact verbs start without it
-
 from .ff_zeta import factorize, legendre
 from .number_field import MAX_ABS_DISC, NumberFieldInvariants, is_fundamental, InvariantsError
 
@@ -27,8 +25,8 @@ class AnalyticSideUnavailable(ValueError):
     """The analytic side is only computed for Q and quadratic fields."""
 
 
-def character_table(D: int) -> numpy.ndarray:
-    """chi_D(a) for 0 <= a < |D| as int8, D fundamental with |D| > 1.
+def character_table(D: int):
+    """chi_D(a) for 0 <= a < |D| as an int8 numpy array, D fundamental with |D| > 1.
 
     D is the product of prime discriminants -4, +-8 and
     p* = (-1)^((p-1)/2) p, one for each prime p | D, and chi_D is the

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from math import isqrt
 
-# numpy is imported by the functions that use it: the exact verbs start without it
-
 from .ff_zeta import factorize
 
 
