@@ -5,16 +5,20 @@ A curve y^2 = f(x), deg f odd, has N_m = q^m + 1 + sum_x chi(f(x))
 points over F_{q^m}, chi the quadratic character (0 at 0).  Over a prime
 field F_p, f is evaluated in plain int64 residues and chi read from the
 Legendre table mod p.  Over F_{p^k}, k >= 2, f is evaluated in
-discrete-log coordinates over a deterministic primitive element g: with
-the Zech logarithm Z(j) = log(1 + g^j), one Horner step
-acc * x + c = g^(log c + Z(log acc + log x - log c)) is a few integer
-adds and one table lookup, and chi(v) = (-1)^(log v).
+discrete-log coordinates over a deterministic primitive element g, with
+the Zech logarithm Z(j) = log(1 + g^j).  Horner carries
+S = log acc - log c', c' the next nonzero coefficient below acc (1 once
+none is left): acc * x + c = c (1 + acc x / c), so a nonzero c takes S to
+Z(S + log x) + log c - log c'', and a zero c to S + log x.  Each step is
+a few integer adds and at most one table lookup; at the end S = log f(x),
+and chi(v) = (-1)^(log v).
 f has coefficients in F_p, so f(x^p) = f(x)^p has the same character as
 f(x): f is evaluated once per Frobenius orbit (the orbit of g^i is
 g^(i p^j)) and each value is weighted by the orbit size.  The modulus of
 F_{p^k} is the lexicographically minimal monic irreducible, so every
-output is reproducible bit for bit.  A field record is kept from its
-second request on, so a field asked for once is freed with its count.
+output is reproducible bit for bit.  A field record, and a Legendre
+table, is kept from its second request on, so one asked for once is freed
+with its count.
 The field tables, the orbits, the Legendre table and the counts over F_p
 and F_{p^k} run BLOCK elements at a time, so no temporary array grows
 with q.
@@ -37,10 +41,10 @@ if TYPE_CHECKING:  # the functions that use numpy import it; the exact verbs sta
     import numpy
 
 SIZE_BOUND = 2**20
-# log 0 in FiniteField.zech: a Horner step of count_points adds less than
-# n = q - 1 < SIZE_BOUND to it and takes n off, so it loses less than n
-# per step; for deg f <= 7 it stays above 2^29 > n, beyond every log, and
-# it never wraps in uint32
+# log 0 in FiniteField.zech: a zero accumulator in count_points gains less
+# than n = q - 1 < SIZE_BOUND and loses n at each reduction after it, so
+# it loses less than n per Horner step; for deg f <= 7 it stays above
+# 2^29 > n, beyond every log, and it never wraps in uint32
 _ZERO_LOG = 2**30
 COUNT_BOUND = 2**16  # verify_ff reproduces every N_m with q^m <= this
 # is_prime refuses n >= 2^this: one Miller-Rabin base costs seconds at
@@ -331,9 +335,17 @@ def make_field(p: int, k: int) -> FiniteField:
     return field
 
 
+# p -> None after its first Legendre table, the table from the second
+_LEGENDRE_CACHE: dict = {}
+
+
 def legendre(p: int) -> numpy.ndarray:
-    """The Legendre symbol mod an odd prime p as an int8 table: 0 at 0,
-    +1 at the nonzero squares r^2 mod p and -1 elsewhere."""
+    """The Legendre symbol mod an odd prime p as a read-only int8 table:
+    0 at 0, +1 at the nonzero squares r^2 mod p and -1 elsewhere.  Kept
+    from its second request on, as make_field keeps a field."""
+    table = _LEGENDRE_CACHE.get(p)
+    if table is not None:
+        return table
     import numpy as np
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
@@ -342,6 +354,8 @@ def legendre(p: int) -> numpy.ndarray:
         square = np.arange(start, min(start + BLOCK, half), dtype=np.int64) ** 2
         square -= square // p * p  # square %= p; numpy's // by a scalar is faster
         table[square] = 1
+    table.flags.writeable = False  # the kept table is shared by every caller
+    _LEGENDRE_CACHE[p] = table if p in _LEGENDRE_CACHE else None
     return table
 
 
@@ -407,9 +421,12 @@ def count_points(variety, m: int = 1) -> int:
     y^2 = f(x), subject to q^m <= 2^20: y^2 = v has 1 + chi(v) roots,
     and deg f is odd, so there is one point at infinity.  f is evaluated
     for m = 1 in int64 residues, one block of x at a time, reduced mod p
-    only where the next multiply-add could pass 2^63, and for m >= 2 once
-    per Frobenius orbit on the field's Zech table, one block of orbits at
-    a time, in uint32 logs updated in place.
+    only where the next multiply-add could pass 2^63, and sum chi is
+    counted off the Legendre table.  For m >= 2 it is evaluated once per
+    Frobenius orbit on the field's Zech table, one block of orbits at a
+    time, in uint32 shifted logs updated in place: a zero coefficient
+    costs one add and one reduction, a nonzero one a lookup, two adds and
+    two reductions.
     """
     import numpy as np
     if m < 1:
@@ -435,41 +452,47 @@ def count_points(variety, m: int = 1) -> int:
                     acc += c
                 top = top * (p - 1) + c
             acc -= acc // p * p
-            total += int(chi[acc].sum())
+            # sum chi = #{+1} - #{-1} = 2 #{+1} + #{0} - len
+            values = chi[acc]
+            total += 2 * int(np.count_nonzero(values > 0)) - int(np.count_nonzero(values))
         return total
     field = make_field(p, m)
-    log, zech, n = field.log, field.zech.view(np.uint32), np.uint32(field.q - 1)
-    # L is log acc at x = g^reps: in [0, n), or above 2^29 where acc = 0
-    # (see _ZERO_LOG).  On uint32, v - n wraps above every log for v < n,
-    # so reduce takes v in [0, 2n) into [0, n); the index of a zero acc
-    # stays above n and clips onto zech[n] = 0, since 0 + c = c.  L and
-    # tmp, one block long, are the only buffers, and take never writes
-    # into its own index array.
+    log, zech, n = field.log, field.zech.view(np.uint32), field.q - 1
+    # S (see the module docstring) at x = g^reps is in [0, n), or above
+    # 2^29 where acc = 0 (see _ZERO_LOG).  On uint32, v - n wraps above
+    # every log for v < n, so reduce takes v in [0, 2n) into [0, n); the
+    # index of a zero acc stays above n and clips onto zech[n] = 0, which
+    # gives S = delta, since 0 x + c = c.  S and tmp, one block long, are
+    # the only buffers, and take never writes into its own index array.
     def reduce(v, scratch):
         np.subtract(v, n, out=scratch)
         np.minimum(v, scratch, out=v)
 
+    below, deltas = 0, []  # log c - log c'' of each nonzero c = f[i], i < deg f; None at a zero
+    for c in f[:-1]:
+        deltas.append((int(log[c]) - below) % n if c else None)
+        if c:
+            below = int(log[c])
+    first = (int(log[f[-1]]) - below) % n  # S of the leading coefficient
     # the orbits cover x != 0, and x = 0 gives f(0)
     chi0 = 1 - 2 * int(log[f[0]] & 1) if f[0] else 0
     total = field.q + 1 + chi0
     for start in range(0, len(field.reps), BLOCK):
         reps = field.reps[start:start + BLOCK].view(np.uint32)
-        L = np.full(len(reps), log[f[-1]], dtype=np.uint32)
-        tmp = np.empty_like(L)
-        for c in reversed(f[:-1]):
-            np.add(L, reps, out=L)
-            reduce(L, tmp)
-            if c:
-                l = np.uint32(log[c])
-                np.add(L, n - l, out=tmp)
-                reduce(tmp, L)
-                np.take(zech, tmp, mode="clip", out=L)
-                np.add(L, l, out=L)
-                reduce(L, tmp)
-        # chi = (-1)^L, 0 where acc = 0
-        np.bitwise_and(L, 1, out=tmp)
+        S = np.full(len(reps), first, dtype=np.uint32)
+        tmp = np.empty_like(S)
+        for delta in reversed(deltas):
+            np.add(S, reps, out=S)
+            reduce(S, tmp)
+            if delta is not None:
+                np.take(zech, S, mode="clip", out=tmp)
+                np.add(tmp, delta, out=tmp)
+                reduce(tmp, S)
+                S, tmp = tmp, S
+        # chi = (-1)^S, 0 where acc = 0
+        np.bitwise_and(S, 1, out=tmp)
         chi = 1 - 2 * tmp.astype(np.int8)
-        chi[L >= n] = 0
+        chi[S >= n] = 0
         # |size * chi| <= k fits int8; the sum over a block does not
         total += int((field.sizes[start:start + BLOCK] * chi).sum(dtype=np.int64))
     return total

@@ -327,6 +327,32 @@ def test_legendre_table_is_bit_identical():
         "c6a651d1300bcd877941c48d317e783412305d9474ef478b25c25c43a07645f9")
 
 
+def test_legendre_table_is_kept_from_its_second_request(monkeypatch):
+    monkeypatch.setattr(ff_zeta, "_LEGENDRE_CACHE", {})
+    first = legendre(1009)
+    assert ff_zeta._LEGENDRE_CACHE == {1009: None}
+    second = legendre(1009)  # built again, and kept
+    assert second is not first and ff_zeta._LEGENDRE_CACHE[1009] is second
+    assert legendre(1009) is second
+    assert first.tolist() == second.tolist()
+    for table in (first, second):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = -1
+
+
+def test_marked_and_kept_legendre_tables_give_the_same_values(monkeypatch):
+    # count_points and character_table each read the table built and
+    # marked, built and kept, then kept; 1009 is prime and 1 mod 4, so it
+    # is a fundamental discriminant whose character is the Legendre symbol
+    from weilzeta.lfunc import character_table
+    curve = CurveSpec(1009, (3, 1, 0, 1))
+    for read, want in ((lambda: count_points(curve, 1), affine_count_oracle(curve.f, 1009) + 1),
+                       (lambda: character_table(1009).tolist(), legendre(1009).tolist())):
+        monkeypatch.setattr(ff_zeta, "_LEGENDRE_CACHE", {})
+        assert [read() for _ in range(3)] == [want] * 3
+        assert ff_zeta._LEGENDRE_CACHE[1009] is not None
+
+
 def traced_peak(fn):
     """The peak of memory traced by tracemalloc while fn() runs, MiB."""
     tracemalloc.start()
@@ -535,8 +561,12 @@ def test_count_points_curve_against_oracle():
 def test_count_points_extension_against_oracle():
     # brute force over F_{p^m} with the oracle's own arithmetic, modulo
     # the field's minimal modulus; at m = 4 and 6 the proper subfields
-    # F_{p^2} and F_{p^3} give Frobenius orbits shorter than m
-    tails = ((1, 1, 0), (1, 2, 0), (2, 0, 1), (3, 1, 1), (1, 0, 0, 0, 1))
+    # F_{p^2} and F_{p^3} give Frobenius orbits shorter than m.  The
+    # tails with f(0) = 0 end Horner on a zero coefficient, and in x^3 + x
+    # and x^5 + x the linear coefficient is the last nonzero one, so its
+    # step shifts by log 1
+    tails = ((1, 1, 0), (1, 2, 0), (2, 0, 1), (3, 1, 1), (1, 0, 0, 0, 1),
+             (0, 1, 0), (0, 1, 1), (0, 2, 0, 0, 1), (0, 1, 0, 0, 0))
     for p, m in ((3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (3, 4), (5, 4), (3, 6)):
         mod = make_field(p, m).modulus
         checked = 0
@@ -580,10 +610,11 @@ def test_closed_point_oracle_against_enumeration():
             assert closed_point_count_oracle(c.f, p, m) == ext_affine_count_oracle(c.f, p, mod) + 1
 
 
-@pytest.mark.parametrize("p, m", [(1021, 2), (101, 3)])
+@pytest.mark.parametrize("p, m", [(1021, 2), (101, 3), (661, 2), (79, 3)])
 def test_count_points_full_size_against_closed_points(p, m):
-    # full-size fields, far past the enumeration oracles (q <= 729)
-    for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (5, 1, 0, 0, 0, 0, 7, 1)):
+    # full-size fields, far past the enumeration oracles (q <= 729);
+    # 661^2 and 79^3 are the largest warm sizes of the ff_curves benchmark
+    for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (5, 1, 0, 0, 0, 0, 7, 1), (0, 4, 0, 3, 0, 1)):
         c = CurveSpec(p, f)
         assert count_points(c, m) == closed_point_count_oracle(c.f, p, m)
 
