@@ -128,12 +128,26 @@ def factorize(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p (coefficient lists, ascending, for modulus search)
+# polynomials over F_p (coefficient lists, ascending, for modulus search);
+# every helper returns a trimmed list, [] for zero
 
 def _poly_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def _poly_rem(a, b, p):
+    """a mod b over F_p by long division, for b trimmed and nonzero."""
+    r = _poly_trim(list(a))
+    inv = pow(b[-1], p - 2, p)
+    while len(r) >= len(b):
+        c = r[-1] * inv % p
+        shift = len(r) - len(b)
+        for i, bi in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * bi) % p
+        _poly_trim(r)
+    return r
 
 
 def _poly_mulmod(a, b, mod, p):
@@ -142,21 +156,13 @@ def _poly_mulmod(a, b, mod, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by monic mod
-    k = len(mod) - 1
-    for d in range(len(out) - 1, k - 1, -1):
-        c = out[d]
-        if c:
-            for i in range(k):
-                out[d - k + i] = (out[d - k + i] - c * mod[i]) % p
-            out[d] = 0
-    return _poly_trim(out[:k] or [0])
+    return _poly_rem(out, mod, p)
 
 
 def _poly_powmod(a, e: int, mod, p):
     """a^e modulo the monic polynomial ``mod`` over F_p."""
     result = [1]
-    base = _poly_mulmod(a, [1], mod, p)
+    base = _poly_rem(a, mod, p)
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
@@ -166,32 +172,20 @@ def _poly_powmod(a, e: int, mod, p):
 
 
 def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while _poly_trim(b):
-        # a mod b, b monic-ized on the fly
-        inv = pow(b[-1], p - 2, p)
-        bb = [(c * inv) % p for c in b]
-        r = list(a)
-        while len(_poly_trim(r)) >= len(bb) and r:
-            d = len(r) - len(bb)
-            c = r[-1]
-            for i, bi in enumerate(bb):
-                r[d + i] = (r[d + i] - c * bi) % p
-            _poly_trim(r)
-        a, b = b, r or [0]
-    return _poly_trim(a) or [0]
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return a
 
 
 def _is_irreducible(f, p: int) -> bool:
-    """Monic f over F_p irreducible iff x^(p^k) = x mod f and
-    gcd(x^(p^(k/l)) - x, f) = 1 for every prime l | k."""
-    k = len(f) - 1
-    # both sides come back trimmed
-    if _poly_powmod([0, 1], p**k, f, p) != _poly_mulmod([0, 1], [1], f, p):
-        return False
-    for l in factorize(k):
-        g = _poly_powmod([0, 1], p ** (k // l), f, p) + [0, 0]
-        g[1] = (g[1] - 1) % p  # x^(p^(k/l)) - x
+    """Ben-Or's test: monic f of degree k over F_p is irreducible iff
+    gcd(x^(p^d) - x, f) = 1 for every d <= k/2."""
+    h = [0, 1]  # x^(p^d) mod f
+    for _ in range((len(f) - 1) // 2):
+        h = _poly_powmod(h, p, f, p)
+        g = h + [0, 0]
+        g[1] = (g[1] - 1) % p  # x^(p^d) - x
         if len(_poly_gcd(g, f, p)) > 1:
             return False
     return True

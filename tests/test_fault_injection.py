@@ -5,8 +5,8 @@ Each injection replaces every ``weilzeta.*`` binding of one function.  A
 request is scored only if the injection changed a value it returned to
 the request; it escapes when it still ends in PASS or RANK_ONLY.  Every
 escape is pinned with the ROADMAP item that closes it, so the list can
-only shrink, and every injection but borel_dim makes ``suite`` fail.
-The K-torsion orders read from --k-torsion are still to come.
+only shrink, and every injection but borel_dim makes ``suite`` fail;
+``suite`` reads no K-torsion file, so parse_k_torsion does not score it.
 """
 
 import sys
@@ -28,8 +28,12 @@ REQUESTS = (
     "ff curve --p 13 --f x^3+x+1",
     "ff curve --p 65521 --f x^3+x+1",
     "ff curve --p 1021 --f x^5+x+1",
+    "pn-of --disc 1 --n 1 --k-torsion q.txt",
+    "pn-of --disc 5 --n 1 --k-torsion d5.txt",
     "suite",
 )
+# the --k-torsion files, written to the test's working directory
+K_TORSION = {"q.txt": "K2=2\nK3=48\n", "d5.txt": "K2=4\nK3=120\n"}
 
 
 def flipped_at_1(table):
@@ -53,6 +57,7 @@ INJECTIONS = {
     "legendre": lambda chi, p: flipped_at_1(chi),
     "borel_dim": lambda rank, inv, r: rank + 1 if r >= 2 else rank,
     "pn_of_order": lambda order, inv, n: order + 1,
+    "parse_k_torsion": lambda orders, path: {m: t + 1 for m, t in orders.items()},
 }
 
 # function -> {request: (verdict, the ROADMAP item that closes the escape)}
@@ -61,10 +66,12 @@ ESCAPES = {
     "class_number_imaginary": {"pn-of --disc -23 --n 2": ("RANK_ONLY", 5),
                                "pn-of --disc -4 --n 3": ("RANK_ONLY", 5)},
     "class_number_real": {"pn-of --disc 229 --n 1": ("RANK_ONLY", 5),
-                          "pn-of --disc 5 --n 2": ("RANK_ONLY", 5)},
+                          "pn-of --disc 5 --n 2": ("RANK_ONLY", 5),
+                          "pn-of --disc 5 --n 1 --k-torsion d5.txt": ("RANK_ONLY", 5)},
     "_reduced_triples": {"pn-of --disc -23 --n 2": ("RANK_ONLY", 5)},
     "fundamental_unit_real": {"pn-of --disc 229 --n 1": ("RANK_ONLY", 5),
-                              "pn-of --disc 5 --n 2": ("RANK_ONLY", 5)},
+                              "pn-of --disc 5 --n 2": ("RANK_ONLY", 5),
+                              "pn-of --disc 5 --n 1 --k-torsion d5.txt": ("RANK_ONLY", 5)},
     # zeta_F(0) is off by 5e-7, inside the tolerance 1e-8 * 240; an exact
     # comparison for D < 0 closes it
     "l_at_0": {"numberring --disc -999995": ("PASS", 4)},
@@ -80,7 +87,12 @@ ESCAPES = {
                   "pn-of --disc 229 --n 1": ("RANK_ONLY", 5),
                   "pn-of --disc 5 --n 2": ("RANK_ONLY", 5),
                   "pn-of --disc -4 --n 3": ("RANK_ONLY", 5),
+                  "pn-of --disc 1 --n 1 --k-torsion q.txt": ("RANK_ONLY", 5),
+                  "pn-of --disc 5 --n 1 --k-torsion d5.txt": ("RANK_ONLY", 5),
                   "suite": ("PASS", 5)},
+    # no value side reads the K-torsion orders: it fails nowhere
+    "parse_k_torsion": {"pn-of --disc 1 --n 1 --k-torsion q.txt": ("RANK_ONLY", 5),
+                        "pn-of --disc 5 --n 1 --k-torsion d5.txt": ("RANK_ONLY", 5)},
 }
 
 
@@ -95,8 +107,11 @@ def outcome(request, capsys):
 
 
 @pytest.mark.parametrize("name", INJECTIONS)
-def test_injected_faults_escape_only_where_pinned(monkeypatch, capsys, name):
-    original = next(vars(m)[name] for m in (ff_zeta, lfunc, motivic_rank, number_field)
+def test_injected_faults_escape_only_where_pinned(monkeypatch, capsys, tmp_path, name):
+    for file, text in K_TORSION.items():
+        (tmp_path / file).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    original = next(vars(m)[name] for m in (cli, ff_zeta, lfunc, motivic_rank, number_field)
                     if name in vars(m))
     calls = []
 
@@ -118,4 +133,7 @@ def test_injected_faults_escape_only_where_pinned(monkeypatch, capsys, name):
             outcomes[request] = verdict
     escapes = {r: v for r, v in outcomes.items() if v in ("PASS", "RANK_ONLY")}
     assert escapes == {r: v for r, (v, _) in ESCAPES.get(name, {}).items()}
-    assert outcomes["suite"] == ("PASS" if name == "borel_dim" else "FAIL")
+    if name == "parse_k_torsion":
+        assert "suite" not in outcomes
+    else:
+        assert outcomes["suite"] == ("PASS" if name == "borel_dim" else "FAIL")

@@ -34,8 +34,10 @@ from weilzeta.ff_zeta import (
     verify_ff,
     zeta_curve,
     zeta_pn,
+    _is_irreducible,
     _log_tables,
     _poly_mulmod,
+    _poly_rem,
     _poly_trim,
 )
 from weilzeta.reports import SymbolicValue
@@ -246,6 +248,35 @@ def test_make_field_modulus_is_lex_minimal_irreducible():
         for smaller in range(idx):
             cand = [(smaller // p**j) % p for j in range(k)] + [1]
             assert not irreducible_oracle(cand, p)
+
+
+def test_is_irreducible_matches_oracle():
+    cases = [(2, k) for k in (1, 2, 3, 4, 5, 6)] + [(3, k) for k in (1, 2, 3, 4)]
+    cases += [(p, k) for p in (5, 7) for k in (1, 2, 3)]
+    for p, k in cases:
+        for tail in product(range(p), repeat=k):
+            f = list(tail) + [1]
+            assert _is_irreducible(f, p) == irreducible_oracle(f, p), (p, f)
+    # over F_2, degree 6 without a factor of degree <= 2: only the d = 3
+    # step of Ben-Or's test sees the cubic factors
+    cubic, other = [1, 1, 0, 1], [1, 0, 1, 1]  # x^3 + x + 1, x^3 + x^2 + 1
+    assert _is_irreducible(cubic, 2) and _is_irreducible(other, 2)
+    assert not _is_irreducible([1, 0, 1, 0, 0, 0, 1], 2)  # cubic^2
+    assert not _is_irreducible([1] * 7, 2)  # cubic * other
+
+
+def test_poly_rem_divides_out():
+    rng = random.Random(30)
+    for p in (2, 3, 5, 7, 101):
+        for _ in range(200):
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 5))] + [rng.randrange(1, p)]
+            a = [rng.randrange(p) for _ in range(rng.randint(0, 10))]
+            monic = [c * pow(b[-1], p - 2, p) % p for c in b]
+            for x in (a, [], [0, 0], a[:len(b) - 1]):  # zero, and deg x < deg b
+                r = _poly_rem(x, b, p)
+                assert len(r) < len(b) and r == _poly_trim(list(r))
+                diff = [(u - v) % p for u, v in zip(x + [0] * len(b), r + [0] * len(x))]
+                assert poly_divides(monic, diff, p), (p, x, b, r)
 
 
 def test_make_field_caching_and_bounds(monkeypatch):
