@@ -7,13 +7,11 @@ reports overall success.
 
 from __future__ import annotations
 
-import random
 import time
 from fractions import Fraction
 from itertools import islice, product
 
 from . import ff_zeta, weil_tables
-from .fgab import IntMatrix, smith_normal_form
 from .lfunc import dedekind_leading_at_0
 from .number_field import RATIONALS, quad_invariants
 from .reports import (
@@ -27,7 +25,6 @@ from .reports import (
 )
 
 NUMBER_RING_SUITE = (-3, -4, -7, -8, -11, -15, -23, -47, 5, 8, 12, 13, 40)
-SNF_TRIALS, SNF_SEED = 500, 20260823  # criterion 6: random matrices up to 6 x 6
 
 
 def check_number_rings():
@@ -125,27 +122,6 @@ def check_pn_rank_identity():
     return not bad and elapsed < 1.0, f"98 cases in {elapsed:.3f}s, failures: {bad or 'none'}"
 
 
-def check_smith_normal_form():
-    """Criterion 6: U M V = D, unimodularity, divisibility chain."""
-    rng = random.Random(SNF_SEED)
-    bad = 0
-    for _ in range(SNF_TRIALS):
-        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-        m = IntMatrix(rows, cols, tuple(rng.randint(-10, 10) for _ in range(rows * cols)))
-        u, d, v = smith_normal_form(m)
-        ok = (u @ m @ v).entries == d.entries
-        ok = ok and abs(u.determinant()) == 1 and abs(v.determinant()) == 1
-        diag = d.diagonal()
-        for i in range(len(diag) - 1):
-            ok = ok and (diag[i + 1] == 0 if diag[i] == 0 else diag[i + 1] % diag[i] == 0)
-        ok = ok and all(
-            d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j
-        )
-        if not ok:
-            bad += 1
-    return bad == 0, f"{SNF_TRIALS} random matrices, {bad} failures"
-
-
 def open_pairs():
     """(base report, fiber report, expected verdict) triples for the
     multiplicativity check: a rank-only base makes U rank-only."""
@@ -160,7 +136,7 @@ def open_pairs():
 
 
 def check_open_multiplicativity():
-    """Criterion 7: ord additivity and each pair's expected verdict."""
+    """Criterion 6: ord additivity and each pair's expected verdict."""
     bad = []
     for base, fiber, verdict in open_pairs():
         combined = open_report(base, [fiber])
@@ -175,7 +151,7 @@ def check_open_multiplicativity():
 
 
 def check_rank_only_flag():
-    """Criterion 8: P^n over O_F with n >= 1 and no K-torsion input must
+    """Criterion 7: P^n over O_F with n >= 1 and no K-torsion input must
     report RANK_ONLY with the unknown-torsion caveat."""
     report = pn_of_report(quad_invariants(-4), 2)
     ok = (
@@ -192,9 +168,8 @@ CRITERIA = (
     ("3 P^n over F_q: exact rho and mantissa", check_pn_over_fq),
     ("4 curves over F_p: exact zeta checks", check_curves),
     ("5 P^n rank identity over number rings", check_pn_rank_identity),
-    ("6 Smith normal form properties", check_smith_normal_form),
-    ("7 open-subscheme ord additivity", check_open_multiplicativity),
-    ("8 RANK_ONLY flag for unknown K-torsion", check_rank_only_flag),
+    ("6 open-subscheme ord additivity", check_open_multiplicativity),
+    ("7 RANK_ONLY flag for unknown K-torsion", check_rank_only_flag),
 )
 
 

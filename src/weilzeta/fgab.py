@@ -5,10 +5,10 @@ assembled from short exact sequences is kept as an order only: the
 extension class is in general not determined, but the order is, and
 orders are all the downstream formulas need.
 
-Also provides Smith normal form over Z (arbitrary precision, no modular
-shortcuts; the matrices that show up here are tiny) and the two Euler
-characteristics of bounded graded tables that drive the rank side and the
-torsion side of the special-value predictions.
+Also provides the two Euler characteristics of bounded graded tables
+that drive the rank side and the torsion side of the special-value
+predictions, and Smith normal form over Z (arbitrary precision, no
+modular shortcuts), which no prediction reads: only the benchmark calls it.
 """
 
 from __future__ import annotations
@@ -47,49 +47,6 @@ class IntMatrix:
     def to_rows(self):
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntMatrix.from_rows(out) if self.rows else IntMatrix(0, other.cols, ())
-
-    def determinant(self):
-        """Fraction-free Bareiss elimination; exact."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def diagonal(self):
-        return [self[i, i] for i in range(min(self.rows, self.cols))]
 
 
 def _xgcd(a, b):

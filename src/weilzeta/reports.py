@@ -203,6 +203,10 @@ def parse_report(text: str) -> VerificationReport:
         _require(isinstance(obj[key], dict), f"report {key} must be a JSON object")
     for key in ("rank_predicted", "ord_computed"):
         _require(obj[key] is None or _is_int(obj[key]), f"report {key} must be an integer or null")
+    # no builder writes a PASS or RANK_ONLY whose rank and order differ
+    _require(obj["verdict"] not in (PASS, RANK_ONLY) or obj["rank_predicted"] is not None
+             and obj["rank_predicted"] == obj["ord_computed"],
+             f"a {obj['verdict']} report needs rank_predicted equal to ord_computed")
     caveats, table = obj["caveats"], obj["weil_table"]
     _require(isinstance(caveats, list) and all(isinstance(c, str) for c in caveats),
              "report caveats must be a list of strings")

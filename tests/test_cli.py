@@ -363,7 +363,7 @@ def test_cli_pn_of_output_is_byte_identical():
 
 
 def test_cli_report_builder_output_is_byte_identical(tmp_path, monkeypatch):
-    # open over criterion 7's pairs in text and JSON, pn-of --n 1..3 text
+    # open over criterion 6's pairs in text and JSON, pn-of --n 1..3 text
     # with and without a K-torsion file, and numberring on the FAIL
     # (h = 2, disc -23) and UNSUPPORTED (no disc) invariants files; taken
     # before decide lost its ok argument and the builders their null padding
@@ -487,6 +487,11 @@ def _with_value(report, **fields):
         (lambda report: _with_value(report, log_exponents={"3": "-1"}), "log_exponents must map"),
         (lambda report: _with_value(report, log_exponents={"-3": -1}), "log_exponents must map"),
         (lambda report: _with_value(report, mantissa="0"), "mantissa must be a nonzero"),
+        # alone, such a file would be re-emitted as a PASS whose two sides disagree
+        (lambda report: {**report, "rank_predicted": report["ord_computed"] + 4},
+         "a PASS report needs rank_predicted equal to ord_computed"),
+        (lambda report: {**report, "verdict": "RANK_ONLY", "rank_predicted": None},
+         "a RANK_ONLY report needs rank_predicted equal to ord_computed"),
         # a pair: each report is fine alone, the quotient has (ln 3)^10000
         (lambda report: (_with_value(report, log_exponents={"3": 5000}),
                          _with_value(report, log_exponents={"3": -5000})),
@@ -494,7 +499,8 @@ def _with_value(report, **fields):
     ],
     ids=["not-object", "missing-key", "unknown-verdict", "string-rank", "bool-rank",
          "number-entries", "list-invariants", "string-caveats", "string-real-factor",
-         "string-exponent", "negative-log-base", "zero-mantissa", "combined-overflow"],
+         "string-exponent", "negative-log-base", "zero-mantissa", "pass-rank-not-ord",
+         "rank-only-without-rank", "combined-overflow"],
 )
 def test_cli_open_malformed_report(tmp_path, capsys, doctor, message):
     report = json.loads(emit_report(ff_report(ProjectiveSpace(3, 0)), as_json=True))

@@ -9,6 +9,7 @@ only shrink, and every injection but borel_dim makes ``suite`` fail;
 ``suite`` reads no K-torsion file, so parse_k_torsion does not score it.
 """
 
+import json
 import sys
 from fractions import Fraction
 
@@ -77,7 +78,8 @@ ESCAPES = {
     "l_at_0": {"numberring --disc -999995": ("PASS", 4)},
     "character_table": {"numberring --disc -999995": ("PASS", 4)},
     # a wrong N_g is reproduced by the Z(t) built from it; the Jacobian
-    # side closes it.  At p = 13 the P(1) recount catches it
+    # side closes it.  At p = 13, N_1..N_4 are counted, and "counts
+    # reproduced from Z(t)" catches it
     "count_points": {"ff curve --p 65521 --f x^3+x+1": ("PASS", 1),
                      "ff curve --p 1021 --f x^5+x+1": ("PASS", 1)},
     "legendre": {"ff curve --p 65521 --f x^3+x+1": ("PASS", 1),
@@ -137,3 +139,15 @@ def test_injected_faults_escape_only_where_pinned(monkeypatch, capsys, tmp_path,
         assert "suite" not in outcomes
     else:
         assert outcomes["suite"] == ("PASS" if name == "borel_dim" else "FAIL")
+
+
+def test_a_count_outside_the_hasse_bound_fails_on_it_alone(monkeypatch, capsys):
+    # g = 1 and p^2 > COUNT_BOUND: only N_1 is counted, so no recount meets
+    # it, and N_1 + 1100 is outside q + 1 +- 2 sqrt(q) ~ q + 1 +- 512
+    original = ff_zeta.count_points
+    monkeypatch.setattr(ff_zeta, "count_points",
+                        lambda curve, m=1: original(curve, m) + (1100 if m == 1 else 0))
+    assert cli.run("ff curve --p 65521 --f x^3+x+1 --json".split()) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "FAIL"
+    assert [c for c in report["caveats"] if c.startswith("failed: ")] == ["failed: Hasse bound"]

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,14 @@ from weilzeta.fgab import (
     smith_normal_form,
     torsion_euler,
 )
+
+# the benchmark's own checker of a Smith normal form: U M V = D by its own
+# matrix product, |det U| = |det V| = 1 by Fraction elimination, D diagonal
+# with a divisibility chain
+_spec = importlib.util.spec_from_file_location(
+    "bench_checks", Path(__file__).resolve().parents[1] / "bench" / "checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
 
 def quotient_structure(diag_relations):
@@ -32,8 +42,9 @@ def quotient_structure(diag_relations):
 
 def test_snf_diag_2_3_is_z6():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    _, d, _ = smith_normal_form(m)
-    assert d.diagonal() == [1, 6]
+    u, d, v = smith_normal_form(m)
+    assert_snf(m, u, d, v)
+    assert d.to_rows() == [[1, 0], [0, 6]]
     # oracle: Z^2/(2e1, 3e2) has 6 elements and an element of order 6
     order, exponent = quotient_structure([2, 3])
     assert (order, exponent) == (6, 6)
@@ -49,21 +60,12 @@ def test_snf_gcd_row():
     m = IntMatrix.from_rows([[4, 6]])
     u, d, v = smith_normal_form(m)
     assert d.to_rows() == [[2, 0]]
-    assert (u @ m @ v).entries == d.entries
+    assert_snf(m, u, d, v)
 
 
 def assert_snf(m, u, d, v):
-    rows, cols = m.rows, m.cols
-    assert (u @ m @ v).entries == d.entries
-    assert abs(u.determinant()) == 1
-    assert abs(v.determinant()) == 1
-    diag = d.diagonal()
-    for i in range(len(diag) - 1):
-        if diag[i] == 0:
-            assert diag[i + 1] == 0
-        else:
-            assert diag[i + 1] % diag[i] == 0
-    assert all(d[i, j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    failure = checks.check_snf((m.rows, m.cols, m.entries), u.to_rows(), d.to_rows(), v.to_rows())
+    assert failure is None, failure
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -97,17 +99,16 @@ def test_snf_finishes_without_coefficient_blowup():
     assert proc.returncode == 0, proc.stderr
     u, d, v = (IntMatrix.from_rows(rows) for rows in json.loads(proc.stdout))
     assert_snf(IntMatrix.from_rows(BLOWUP_ROWS), u, d, v)
-    assert d.diagonal() == [1, 1, 1, 1, 87]
+    assert [row[i] for i, row in enumerate(d.to_rows())] == [1, 1, 1, 1, 87]
 
 
 def test_cokernel_factors_divisibility():
     # the invariant factors of the cokernel are the SNF diagonal
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    _, d, _ = smith_normal_form(m)
-    factors = d.diagonal()
-    assert factors == [2, 2, 156] and abs(m.determinant()) == 2 * 2 * 156
-    for i in range(len(factors) - 1):
-        assert factors[i + 1] % factors[i] == 0
+    u, d, v = smith_normal_form(m)
+    assert_snf(m, u, d, v)
+    assert d.to_rows() == [[2, 0, 0], [0, 2, 0], [0, 0, 156]]
+    assert abs(checks._det(m.to_rows())) == 2 * 2 * 156
 
 
 def test_intmatrix_validation():

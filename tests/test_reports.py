@@ -306,10 +306,12 @@ def test_divided_by_divides_in_order():
 
 
 def test_open_report_own_fail_is_named():
-    base = _with_verdict(ff_report(ProjectiveSpace(5, 1)), PASS)
-    base.rank_predicted = None  # ord additivity cannot be checked
-    u = open_report(base, [ff_report(ProjectiveSpace(5, 0))])
-    assert u.verdict == FAIL and u.caveats[0] == "failed: ord additivity"
+    # parse_report refuses both PASS bases, so only one built in process has them
+    base = ff_report(ProjectiveSpace(5, 1))
+    for rank in (None, base.ord_computed + 1):  # no rank to check; a rank that is not the order
+        base.rank_predicted = rank
+        u = open_report(base, [ff_report(ProjectiveSpace(5, 0))])
+        assert u.verdict == FAIL and u.caveats[0] == "failed: ord additivity"
 
 
 def test_pn_of_report_own_fail_is_named(monkeypatch):
