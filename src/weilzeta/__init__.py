@@ -9,8 +9,7 @@ module imports."""
 from importlib import import_module
 
 _EXPORTS = {
-    "fgab": "FgAb GradedTable IntMatrix rank_weighted_euler "
-            "smith_normal_form torsion_euler",
+    "fgab": "FgAb GradedTable rank_weighted_euler torsion_euler",
     "ff_zeta": "CurveSpec FiniteField ProjectiveSpace ZetaRational count_points "
                "curve_class_number make_field special_value_s0 verify_ff zeta_curve zeta_pn",
     "lfunc": "character_table dedekind_leading_at_0 l_at_0 l_prime_at_0",

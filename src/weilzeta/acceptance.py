@@ -29,8 +29,8 @@ NUMBER_RING_SUITE = (-3, -4, -7, -8, -11, -15, -23, -47, 5, 8, 12, 13, 40)
 
 def check_number_rings():
     """Criterion 1: for the quadratic suite, the report's verdict is PASS
-    (ord = rank and |zeta* - (-hR/w)| <= DEFAULT_TOL relative), its rank
-    is r1 + r2 - 1, and each field takes < 1 s."""
+    (ord = rank, zeta* = -hR/w exactly for D < 0 and within DEFAULT_TOL
+    relative for D > 0), its rank is r1 + r2 - 1, and each field takes < 1 s."""
     bad = []
     for d in NUMBER_RING_SUITE:
         start = time.perf_counter()

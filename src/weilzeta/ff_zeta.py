@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, log10
+from math import comb
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # the functions that use numpy import it; the exact verbs start without it
@@ -52,12 +52,7 @@ COUNT_BOUND = 2**16  # verify_ff reproduces every N_m with q^m <= this
 PRIME_POWER_BITS = 1024
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MAX_VALUE_DIGITS = 4300  # CPython's default int-to-str limit, fixed whatever the environment sets
 BLOCK = 1 << 14  # elements per block of each table fill and count; a power of 2 (_log_tables)
-
-
-class SizeBoundExceeded(ValueError):
-    pass
 
 
 class SingularCurveError(ValueError):
@@ -314,7 +309,7 @@ def make_field(p: int, k: int) -> FiniteField:
     if k < 1:
         raise ValueError("k must be >= 1")
     if p**k > SIZE_BOUND:
-        raise SizeBoundExceeded(f"p^k = {p**k} exceeds {SIZE_BOUND}")
+        raise ValueError(f"p^k = {p**k} exceeds {SIZE_BOUND}")
     for idx in range(p**k):  # a monic irreducible of every degree exists
         modulus = [(idx // p**j) % p for j in range(k)] + [1]
         if _is_irreducible(modulus, p):
@@ -358,11 +353,10 @@ def legendre(p: int) -> numpy.ndarray:
 
 @dataclass(frozen=True)
 class ProjectiveSpace:
-    """P^n over F_q, q = p^k, with p and k read off q once.  Refused if
-    the exact mantissa 1/(k prod_{j<=n} (q^j - 1)) of its special value
-    could have MAX_VALUE_DIGITS digits: its denominator is below
-    q.bit_length() q^(n(n+1)/2).  Every n > MAX_VALUE_DIGITS fails that
-    bound, and is refused first: its float could overflow."""
+    """P^n over F_q, q = p^k, with p and k read off q once.  Refused
+    before any exact arithmetic where the mantissa 1/(k prod_{j<=n} (q^j - 1))
+    of its special value is surely below 2^-1075, so rounds to 0.0:
+    with b = q.bit_length(), each q^j - 1 >= 2^((b-1)j - 1)."""
 
     q: int
     n: int
@@ -374,10 +368,9 @@ class ProjectiveSpace:
         p, k = prime_power(q)
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n > MAX_VALUE_DIGITS or (log10(q.bit_length()) + n * (n + 1) / 2 * log10(q)
-                                    >= MAX_VALUE_DIGITS):
-            raise ValueError(f"the exact special value of P^{n} over F_{q} would exceed "
-                             f"the {MAX_VALUE_DIGITS}-digit limit of sys.get_int_max_str_digits()")
+        if n * (n + 1) // 2 * (q.bit_length() - 1) - n > 1075:
+            raise ValueError(f"the exact special value of P^{n} over F_{q} "
+                             "is not a nonzero finite float")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
 
@@ -428,7 +421,7 @@ def count_points(variety, m: int = 1) -> int:
     if not isinstance(variety, CurveSpec):
         raise TypeError(f"unsupported variety {variety!r}")
     if variety.p**m > SIZE_BOUND:
-        raise SizeBoundExceeded(f"q^m = {variety.p**m} exceeds {SIZE_BOUND}")
+        raise ValueError(f"q^m = {variety.p**m} exceeds {SIZE_BOUND}")
     p = variety.p
     f = [c % p for c in variety.f]
     if m == 1:
@@ -605,7 +598,7 @@ def verify_ff(curve: CurveSpec):
     m, Newton's identities put a wrong N_m back."""
     q, g = curve.p, curve.genus
     if q**g > SIZE_BOUND:
-        raise SizeBoundExceeded(f"q^m = {q**g} exceeds {SIZE_BOUND}")
+        raise ValueError(f"q^m = {q**g} exceeds {SIZE_BOUND}")
     top = g
     while q ** (top + 1) <= COUNT_BOUND:
         top += 1

@@ -344,14 +344,14 @@ def test_cli_number_ring_output_is_byte_identical():
     # numberring and pn-of --n 0 in text and JSON, and criterion 3's ff pn
     # panel, taken before both number-ring verbs built their table with
     # the one shifted-twist builder, with pn-of --n 0's object renamed
-    # from P^0 over O_F to Spec O_F
+    # from P^0 over O_F to Spec O_F, and Q and D < 0 compared at tolerance 0
     argvs = [(verb, "--disc", str(d), *n, *fmt)
              for d in NUMBER_RING_DISCS
              for verb, n in (("numberring", ()), ("pn-of", ("--n", "0")))
              for fmt in ((), ("--json",))]
     argvs += [("ff", "pn", "--q", str(q), "--n", str(n), *fmt)
               for q in (2, 3, 4, 5, 7, 8, 9) for n in range(4) for fmt in ((), ("--json",))]
-    assert _cli_digest(argvs) == "f9dffa2cf857fc2921eeebfcfb4abbeac9ea4d8457529d7d180590c1cbcda173"
+    assert _cli_digest(argvs) == "8fd74b88fa7b591d613c3672df7af75b563338ab2186f62d2fad99486c5f5181"
 
 
 def test_cli_pn_of_output_is_byte_identical():
@@ -366,7 +366,8 @@ def test_cli_report_builder_output_is_byte_identical(tmp_path, monkeypatch):
     # open over criterion 6's pairs in text and JSON, pn-of --n 1..3 text
     # with and without a K-torsion file, and numberring on the FAIL
     # (h = 2, disc -23) and UNSUPPORTED (no disc) invariants files; taken
-    # before decide lost its ok argument and the builders their null padding
+    # before decide lost its ok argument and the builders their null padding,
+    # with the FAIL compared at tolerance 0
     monkeypatch.chdir(tmp_path)
     pairs = open_pairs()
     for i, (base, fiber, _) in enumerate(pairs):
@@ -381,7 +382,19 @@ def test_cli_report_builder_output_is_byte_identical(tmp_path, monkeypatch):
               for d in NUMBER_RING_DISCS for n in (1, 2, 3) for k in ((), ("--k-torsion", "k.txt"))]
     argvs += [("numberring", "--invariants", name, *fmt)
               for name in ("fail.txt", "nodisc.txt") for fmt in ((), ("--json",))]
-    assert _cli_digest(argvs) == "8eca4d192477c4434382f070ac45bb7d9e39d7ef2e5efe088e63ca32ad6d9e9d"
+    assert _cli_digest(argvs) == "673ef18463ddfb80f685c2789d24256e47deb2de48ecbf943a32ea085aa57cf2"
+
+
+def test_cli_ff_curve_count_that_makes_p1_zero_is_fail(monkeypatch):
+    # N_1 = 0 gives P(1) = 0, so the predicted |c| = P(1)/(q-1) is 0, which
+    # no special value may be: none is predicted, and the wrong count ends
+    # in FAIL (exit 2), not in an error line (exit 1)
+    count = ff_zeta.count_points
+    monkeypatch.setattr(ff_zeta, "count_points", lambda variety, m: 0 if m == 1 else count(variety, m))
+    code, out, err = cli("ff", "curve", "--p", "65521", "--f", "x^3+x+1", "--json")
+    report = json.loads(out)
+    assert (code, err, report["verdict"]) == (2, "", "FAIL")
+    assert report["special_value_predicted"] is None
 
 
 @pytest.mark.parametrize("p", [31, 101])
@@ -495,12 +508,16 @@ def _with_value(report, **fields):
         # a pair: each report is fine alone, the quotient has (ln 3)^10000
         (lambda report: (_with_value(report, log_exponents={"3": 5000}),
                          _with_value(report, log_exponents={"3": -5000})),
-         "special value is not a finite float"),
+         "special value is not a nonzero finite float"),
+        # and here (ln 3)^-10000, which rounds to 0.0
+        (lambda report: (_with_value(report, log_exponents={"3": -5000}),
+                         _with_value(report, log_exponents={"3": 5000})),
+         "special value is not a nonzero finite float"),
     ],
     ids=["not-object", "missing-key", "unknown-verdict", "string-rank", "bool-rank",
          "number-entries", "list-invariants", "string-caveats", "string-real-factor",
          "string-exponent", "negative-log-base", "zero-mantissa", "pass-rank-not-ord",
-         "rank-only-without-rank", "combined-overflow"],
+         "rank-only-without-rank", "combined-overflow", "combined-underflow"],
 )
 def test_cli_open_malformed_report(tmp_path, capsys, doctor, message):
     report = json.loads(emit_report(ff_report(ProjectiveSpace(3, 0)), as_json=True))
@@ -582,7 +599,7 @@ def test_cli_numberring_fail_states_why(tmp_path, monkeypatch):
     assert run(["numberring", "--invariants", str(path)]) == 2
     report = pn_of_report(NumberFieldInvariants(0, 1, 2, 1.0, 2, disc=-23))
     assert report.verdict == FAIL
-    assert report.caveats == ["failed: |computed - predicted| = 0.5 > tol * max(1, |predicted|) = 1e-08"]
+    assert report.caveats == ["failed: |computed - predicted| = 0.5 > tol * max(1, |predicted|) = 0.0"]
     # an analytic order that differs from the rank is named first; invariants
     # that contradict their own disc are refused before either side is built
     monkeypatch.setattr(reports, "dedekind_leading_at_0", lambda inv: (1, -1.5))
@@ -706,25 +723,31 @@ def test_cli_ff_pn_bound_ignores_the_environment():
     assert len(err.splitlines()) == 1
 
 
-def test_cli_ff_pn_printable_value_passes():
-    code, out, err = cli("ff", "pn", "--q", "3", "--n", "133", "--json")  # 4,252 digits
-    assert code == 0 and err == "" and json.loads(out)["verdict"] == "PASS"
+@pytest.mark.parametrize("q,n_max", [(2, 45), (3, 36), (1048573, 9)],
+                         ids=["q2-n45", "q3-n36", "q1048573-n9"])
+def test_cli_ff_pn_printable_value_passes(q, n_max):
+    # n_max is the largest n whose special value is a nonzero float; at
+    # n_max + 1 it rounds to 0.0, which is refused as an overflow is
+    code, out, err = cli("ff", "pn", "--q", str(q), "--n", str(n_max), "--json")
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["verdict"] == "PASS"
+    assert all(report[side]["numeric"] != 0 for side in ("special_value_predicted", "special_value_computed"))
+    code, out, err = cli("ff", "pn", "--q", str(q), "--n", str(n_max + 1))
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_report_that_cannot_be_printed_is_an_error(tmp_path):
-    # each input prints, and so does (P^133 over F_3) minus (P^168 over F_2),
-    # about 2e21 with 3,954 and 3,932 digits; removing that from P^100 over
-    # F_5 leaves a denominator of more than 4300 digits, which str() refuses
-    # inside the same error handling as the rest of a verb
-    a, y, c, f = (tmp_path / f"{name}.json" for name in "aycf")
-    for path, argv in ((a, ("ff", "pn", "--q", "3", "--n", "133")),
-                       (y, ("ff", "pn", "--q", "2", "--n", "168")),
-                       (c, ("ff", "pn", "--q", "5", "--n", "100")),
-                       (f, ("open", str(a), str(y)))):
-        code, out, err = cli(*argv, "--json")
+    # each mantissa has about 4,000 digits above and below and a value near
+    # 1, and each report prints; the quotient's numerator has about 8,000,
+    # which str() refuses inside the same error handling as the rest of a verb
+    report = json.loads(cli("ff", "pn", "--q", "3", "--n", "0", "--json")[1])
+    base, fiber = tmp_path / "base.json", tmp_path / "fiber.json"
+    for path, mantissa in ((base, Fraction(3**8381, 2**13284)), (fiber, Fraction(5**5722, 7**4732))):
+        path.write_text(json.dumps(_with_value(report, mantissa=str(mantissa))))
+        code, out, err = cli("open", str(path))
         assert code == 0 and err == ""
-        path.write_text(out)
-    code, out, err = cli("open", str(c), str(f))
+    code, out, err = cli("open", str(base), str(fiber))
     assert code == 1 and out == "" and err.startswith("error: Exceeds the limit (4300 digits)")
     assert len(err.splitlines()) == 1
 

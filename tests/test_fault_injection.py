@@ -73,10 +73,6 @@ ESCAPES = {
     "fundamental_unit_real": {"pn-of --disc 229 --n 1": ("RANK_ONLY", 5),
                               "pn-of --disc 5 --n 2": ("RANK_ONLY", 5),
                               "pn-of --disc 5 --n 1 --k-torsion d5.txt": ("RANK_ONLY", 5)},
-    # zeta_F(0) is off by 5e-7, inside the tolerance 1e-8 * 240; an exact
-    # comparison for D < 0 closes it
-    "l_at_0": {"numberring --disc -999995": ("PASS", 4)},
-    "character_table": {"numberring --disc -999995": ("PASS", 4)},
     # a wrong N_g is reproduced by the Z(t) built from it; the Jacobian
     # side closes it.  At p = 13, N_1..N_4 are counted, and "counts
     # reproduced from Z(t)" catches it

@@ -52,9 +52,11 @@ def test_symbolic_equality_ignores_zero_exponents():
 
 
 def test_symbolic_value_is_finite_by_construction():
-    # (ln 3)^10000, a 10^400 mantissa and an infinite factor overflow a float
-    for args in ((Fraction(1), {3: 10000}), (Fraction(10**400),), (Fraction(1), {}, math.inf)):
-        with pytest.raises(ValueError, match="^special value is not a finite float$"):
+    # (ln 3)^10000, a 10^400 mantissa and an infinite factor overflow a
+    # float; a 10^-400 mantissa and (ln 3)^-10000 round to 0.0
+    for args in ((Fraction(1), {3: 10000}), (Fraction(10**400),), (Fraction(1), {}, math.inf),
+                 (Fraction(1, 10**400),), (Fraction(1), {3: -10000})):
+        with pytest.raises(ValueError, match="^special value is not a nonzero finite float$"):
             SymbolicValue(*args)
 
 
