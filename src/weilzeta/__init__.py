@@ -9,7 +9,6 @@ module imports."""
 from importlib import import_module
 
 _EXPORTS = {
-    "fgab": "FgAb GradedTable rank_weighted_euler torsion_euler",
     "ff_zeta": "CurveSpec FiniteField ProjectiveSpace ZetaRational count_points "
                "curve_class_number make_field special_value_s0 verify_ff zeta_curve zeta_pn",
     "lfunc": "character_table dedekind_leading_at_0 l_at_0 l_prime_at_0",
@@ -17,7 +16,7 @@ _EXPORTS = {
     "number_field": "NumberFieldInvariants RATIONALS class_number_imaginary class_number_real "
                     "fundamental_discriminant fundamental_unit_real load_invariants quad_invariants",
     "reports": "SymbolicValue VerificationReport emit_report parse_report",
-    "weil_tables": "pn_fq_table pn_of_table",
+    "weil_tables": "FgAb GradedTable pn_fq_table pn_of_table rank_weighted_euler torsion_euler",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

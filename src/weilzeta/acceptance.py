@@ -79,7 +79,7 @@ def curve_panel():
         for b, a in product(range(p), repeat=2):
             try:
                 yield ff_zeta.CurveSpec(p, (b, a) + (0,) * (deg - 2) + (1,))
-            except ff_zeta.SingularCurveError:
+            except ValueError:  # not squarefree mod p
                 continue
     return [c for p in (3, 5, 7, 11, 13) for deg in (3, 5) for c in islice(curves(p, deg), 5)]
 

@@ -27,16 +27,12 @@ from .number_field import InvariantsError, load_invariants, quad_invariants, rea
 from .reports import emit_report, ff_report, load_report, open_report, pn_of_report
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError (exit 1, one line) where argparse would print a
+    """Raises ValueError (exit 1, one line) where argparse would print a
     usage block and exit 2, which is the FAIL code here."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +46,23 @@ def parse_poly(text: str) -> tuple:
     """Parse 'x^3+x' style input into ascending integer coefficients."""
     s = text.replace(" ", "")
     if not s:
-        raise UsageError("empty polynomial")
+        raise ValueError("empty polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:  # a sign with no term after it
-        raise UsageError(f"cannot parse polynomial {text!r}")
+        raise ValueError(f"cannot parse polynomial {text!r}")
     coeffs: dict[int, int] = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m or (not m.group(1).strip("+-") and not m.group(2)):
-            raise UsageError(f"cannot parse polynomial term {chunk!r}")
+            raise ValueError(f"cannot parse polynomial term {chunk!r}")
         coef_s, xpart, exp_s = m.groups()
         try:  # int() refuses more than sys.get_int_max_str_digits() digits
             coef = int(coef_s) if coef_s.strip("+-") else int(coef_s + "1") if coef_s else 1
             deg = (int(exp_s) if exp_s else 1) if xpart else 0
         except ValueError:
-            raise UsageError(f"too many digits in polynomial term {chunk[:40]!r}...") from None
+            raise ValueError(f"too many digits in polynomial term {chunk[:40]!r}...") from None
         if deg > MAX_POLY_DEGREE:
-            raise UsageError(f"polynomial exponent {deg} exceeds {MAX_POLY_DEGREE}")
+            raise ValueError(f"polynomial exponent {deg} exceeds {MAX_POLY_DEGREE}")
         coeffs[deg] = coeffs.get(deg, 0) + coef
     top = max(coeffs)
     return tuple(coeffs.get(i, 0) for i in range(top + 1))

@@ -55,10 +55,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 BLOCK = 1 << 14  # elements per block of each table fill and count; a power of 2 (_log_tables)
 
 
-class SingularCurveError(ValueError):
-    pass
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first 13 prime bases: exact for
     n < 3.3e24, a strong probable-prime test above, refused at 2^PRIME_POWER_BITS."""
@@ -396,7 +392,7 @@ class CurveSpec:
         fp = [c % self.p for c in f]
         dfp = [(i * c) % self.p for i, c in enumerate(fp)][1:]
         if len(_poly_gcd(list(fp), dfp, self.p)) > 1:
-            raise SingularCurveError(f"f = {f} is not squarefree mod {self.p}")
+            raise ValueError(f"f = {f} is not squarefree mod {self.p}")
 
     @property
     def genus(self) -> int:
@@ -495,7 +491,6 @@ class ZetaRational:
 
     numerator_factors: tuple
     denominator_factors: tuple
-    q: int
 
     def __post_init__(self):
         num = tuple(tuple(int(c) for c in f) for f in self.numerator_factors)
@@ -524,7 +519,7 @@ def expected_counts(zeta: ZetaRational, terms: int):
 
 def zeta_pn(space: ProjectiveSpace) -> ZetaRational:
     """Z(P^n_{F_q}, t) = prod_{j=0}^{n} (1 - q^j t)^(-1)."""
-    return ZetaRational((), tuple((1, -(space.q**j)) for j in range(space.n + 1)), space.q)
+    return ZetaRational((), tuple((1, -(space.q**j)) for j in range(space.n + 1)))
 
 
 def zeta_curve(curve: CurveSpec, counts) -> ZetaRational:
@@ -544,7 +539,7 @@ def zeta_curve(curve: CurveSpec, counts) -> ZetaRational:
         a.append(sum(c[i] * a[m - i] for i in range(1, m + 1)) // m)
     for i in range(g - 1, -1, -1):
         a.append(q ** (g - i) * a[i])
-    return ZetaRational((tuple(a),), ((1, -1), (1, -q)), q)
+    return ZetaRational((tuple(a),), ((1, -1), (1, -q)))
 
 
 def curve_class_number(zeta: ZetaRational) -> int:

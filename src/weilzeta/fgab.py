@@ -1,20 +1,13 @@
-"""Exact algebra of finitely generated abelian groups.
+"""Smith normal form over Z (arbitrary precision, no modular shortcuts).
 
-Groups are recorded as (free rank, torsion order).  Torsion of groups
-assembled from short exact sequences is kept as an order only: the
-extension class is in general not determined, but the order is, and
-orders are all the downstream formulas need.
-
-Also provides the two Euler characteristics of bounded graded tables
-that drive the rank side and the torsion side of the special-value
-predictions, and Smith normal form over Z (arbitrary precision, no
-modular shortcuts), which no prediction reads: only the benchmark calls it.
+No prediction reads it and no verifier module imports it: only the
+benchmark calls it.  The groups and tables of the predictions live in
+``weil_tables``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -125,70 +118,3 @@ def smith_normal_form(M: IntMatrix):
         IntMatrix.from_rows(a) if r else IntMatrix(0, c, ()),
         IntMatrix.from_rows(v) if c else IntMatrix(0, 0, ()),
     )
-
-
-@dataclass(frozen=True)
-class FgAb:
-    """Finitely generated abelian group: Z^rank + torsion of given order.
-
-    ``torsion_known`` is False for entries whose torsion order the
-    caller could not supply (reported as order 1 with a caveat).
-    """
-
-    rank: int
-    torsion_order: int = 1
-    torsion_known: bool = True
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
-        if self.torsion_order < 1:
-            raise ValueError("torsion order must be >= 1")
-
-    @property
-    def is_trivial(self):
-        # an entry with unknown torsion is not known to be zero
-        return self.rank == 0 and self.torsion_order == 1 and self.torsion_known
-
-
-ZERO = FgAb(0, 1)
-Z = FgAb(1, 1)
-
-
-@dataclass
-class GradedTable:
-    """Sparse degree -> FgAb table for a cohomology complex of a scheme of
-    dimension ``dim``.  Absent degrees are the zero group."""
-
-    entries: dict
-    dim: int
-    caveats: tuple = ()
-
-    def __post_init__(self):
-        self.entries = {int(i): g for i, g in self.entries.items() if not g.is_trivial}
-
-    @property
-    def delta(self):
-        return 2 * self.dim + 2
-
-    def __getitem__(self, i):
-        return self.entries.get(i, ZERO)
-
-    def degrees(self):
-        return sorted(self.entries)
-
-    def has_unknown_torsion(self):
-        return any(not g.torsion_known for g in self.entries.values())
-
-
-def rank_weighted_euler(table: GradedTable) -> int:
-    """Sum of (-1)^i * i * rank over all degrees."""
-    return sum((-1) ** i * i * g.rank for i, g in table.entries.items())
-
-
-def torsion_euler(table: GradedTable) -> Fraction:
-    """Alternating product of torsion orders, prod tors_i^((-1)^i)."""
-    out = Fraction(1)
-    for i, g in table.entries.items():
-        out *= Fraction(g.torsion_order) ** ((-1) ** i)
-    return out

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import ff_zeta, weil_tables
-from .fgab import rank_weighted_euler, torsion_euler
 from .lfunc import AnalyticSideUnavailable, dedekind_leading_at_0
 from .motivic_rank import pn_of_order
 from .number_field import NumberFieldInvariants
@@ -250,11 +249,11 @@ def pn_of_report(inv: NumberFieldInvariants, n: int = 0,
     reported rank-only.  The table checks n and the K-torsion indices
     first, so for n = 0 every index is refused."""
     table = weil_tables.pn_of_table(inv, n, k_torsion)
-    rank = rank_weighted_euler(table)
+    rank = weil_tables.rank_weighted_euler(table)
     predicted = computed = None
     if n == 0:
         name, tolerances = "Spec O_F", {"value": DEFAULT_TOL}
-        predicted = SymbolicValue(-torsion_euler(table), {}, inv.R)
+        predicted = SymbolicValue(-weil_tables.torsion_euler(table), {}, inv.R)
         try:
             order, value = dedekind_leading_at_0(inv)
         except AnalyticSideUnavailable as exc:
@@ -312,7 +311,7 @@ def ff_report(variety) -> VerificationReport:
         table = weil_tables.pn_fq_table(variety)
         table_json = serialize_table(table)
         zeta, checks = ff_zeta.zeta_pn(variety), ()
-        rank, torsion = rank_weighted_euler(table), torsion_euler(table)
+        rank, torsion = weil_tables.rank_weighted_euler(table), weil_tables.torsion_euler(table)
         names = ("vanishing order equals rank Euler characteristic",
                  "|mantissa| equals torsion Euler characteristic")
     else:
@@ -325,16 +324,20 @@ def ff_report(variety) -> VerificationReport:
         names = ("vanishing order is -1", "|mantissa| (q-1) = P(1)")
     ord_, lead = ff_zeta.special_value_s0(zeta)
     verdict, failed = decide((*checks, (names[0], ord_ == rank), (names[1], abs(lead) == torsion)))
+    try:
+        # only a wrong count predicts |c| = P(1)/(q-1) = 0, which no value carries
+        predicted = ff_value(-torsion if rank % 2 else torsion, rank, variety) if torsion else None
+        computed = ff_value(lead, ord_, variety)
+    except ValueError:  # SymbolicValue refused the value: name the object, as ProjectiveSpace does
+        raise ValueError(f"the exact special value of {name} is not a nonzero finite float") from None
     return VerificationReport(
         object=name,
         invariants=invariants,
         weil_table=table_json,
         rank_predicted=rank,
         ord_computed=ord_,
-        # only a wrong count predicts |c| = P(1)/(q-1) = 0, which no value carries
-        special_value_predicted=(ff_value(-torsion if rank % 2 else torsion, rank, variety)
-                                 if torsion else None),
-        special_value_computed=ff_value(lead, ord_, variety),
+        special_value_predicted=predicted,
+        special_value_computed=computed,
         verdict=verdict,
         tolerances={"value": 0},
         caveats=[*failed, "sign compared up to +-1"],

@@ -9,12 +9,21 @@ unless supplied; for n >= 1 the table is stated mod 2-torsion.
 
 Projective spaces over F_q get the table whose Euler characteristics
 reproduce the exact zeta special value (the zeta side is the oracle).
+
+Groups are recorded as (free rank, torsion order).  Torsion of groups
+assembled from short exact sequences is kept as an order only: the
+extension class is in general not determined, but the order is, and
+orders are all the downstream formulas need: the two Euler
+characteristics of a table, which drive the rank side and the torsion
+side of the special-value predictions.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 from .ff_zeta import ProjectiveSpace
-from .fgab import FgAb, GradedTable, Z
 from .motivic_rank import borel_dim
 from .number_field import NumberFieldInvariants
 
@@ -25,6 +34,72 @@ UNKNOWN_TORSION_CAVEAT = "k-torsion unknown"
 # The checked cases need n <= 6.
 MAX_PN_OF_N = 10**4
 
+
+@dataclass(frozen=True)
+class FgAb:
+    """Finitely generated abelian group: Z^rank + torsion of given order.
+
+    ``torsion_known`` is False for entries whose torsion order the
+    caller could not supply (reported as order 1 with a caveat).
+    """
+
+    rank: int
+    torsion_order: int = 1
+    torsion_known: bool = True
+
+    def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError("rank must be >= 0")
+        if self.torsion_order < 1:
+            raise ValueError("torsion order must be >= 1")
+
+    @property
+    def is_trivial(self):
+        # an entry with unknown torsion is not known to be zero
+        return self.rank == 0 and self.torsion_order == 1 and self.torsion_known
+
+
+ZERO = FgAb(0, 1)
+Z = FgAb(1, 1)
+
+
+@dataclass
+class GradedTable:
+    """Sparse degree -> FgAb table for a cohomology complex of a scheme of
+    dimension ``dim``.  Absent degrees are the zero group."""
+
+    entries: dict
+    dim: int
+    caveats: tuple = ()
+
+    def __post_init__(self):
+        self.entries = {int(i): g for i, g in self.entries.items() if not g.is_trivial}
+
+    @property
+    def delta(self):
+        return 2 * self.dim + 2
+
+    def __getitem__(self, i):
+        return self.entries.get(i, ZERO)
+
+    def degrees(self):
+        return sorted(self.entries)
+
+    def has_unknown_torsion(self):
+        return any(not g.torsion_known for g in self.entries.values())
+
+
+def rank_weighted_euler(table: GradedTable) -> int:
+    """Sum of (-1)^i * i * rank over all degrees."""
+    return sum((-1) ** i * i * g.rank for i, g in table.entries.items())
+
+
+def torsion_euler(table: GradedTable) -> Fraction:
+    """Alternating product of torsion orders, prod tors_i^((-1)^i)."""
+    out = Fraction(1)
+    for i, g in table.entries.items():
+        out *= Fraction(g.torsion_order) ** ((-1) ** i)
+    return out
 
 def pn_of_table(
     inv: NumberFieldInvariants, n: int, k_torsion: dict | None = None

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 
 from weilzeta import ff_zeta, number_field, reports, weil_tables
 from weilzeta.acceptance import NUMBER_RING_SUITE, curve_panel, open_pairs
-from weilzeta.cli import UsageError, build_parser, parse_k_torsion, parse_poly, run
+from weilzeta.cli import build_parser, parse_k_torsion, parse_poly, run
 from weilzeta.ff_zeta import CurveSpec, ProjectiveSpace
 from weilzeta.number_field import MAX_ABS_DISC, InvariantsError, NumberFieldInvariants, quad_invariants
 from weilzeta.reports import (
@@ -152,8 +153,14 @@ def test_parse_poly():
 
 
 def test_parse_poly_errors():
-    for bad in ("", "x^", "y^3", "x**3", "3..5x", "+", "-", "x--1", "x^3+-", "x^101", "9" * 5000):
-        with pytest.raises(UsageError):
+    for bad, message in (
+        ("", "empty polynomial"),
+        *((term, f"cannot parse polynomial term {term!r}") for term in ("x^", "y^3", "x**3", "3..5x")),
+        *((text, f"cannot parse polynomial {text!r}") for text in ("+", "-", "x--1", "x^3+-")),
+        ("x^101", "polynomial exponent 101 exceeds 100"),
+        ("9" * 5000, f"too many digits in polynomial term {'9' * 40!r}..."),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_poly(bad)
     assert len(parse_poly("x^100+1")) == 101
 
@@ -169,7 +176,7 @@ def test_parse_poly_arbitrary_text_is_tuple_or_usage_error():
     def check(text):
         try:
             coeffs = parse_poly(text)
-        except UsageError as exc:
+        except ValueError as exc:
             assert len(str(exc).splitlines()) == 1
             return
         assert type(coeffs) is tuple and coeffs
@@ -675,8 +682,9 @@ def test_cli_ff_curve_huge_exponent_is_refused():
 @pytest.mark.parametrize("q,n", [(3, 134), (1048573, 70), (3, 3000), (2, 10**30)],
                          ids=["q3-n134", "q1048573-n70", "q3-n3000", "huge-n"])
 def test_cli_ff_pn_unprintable_value_is_refused(q, n):
-    # refused before any work: the exact mantissa would have more digits
-    # than str() of an int prints (4300 by default)
+    # refused before any work: ProjectiveSpace's integer pre-check finds
+    # the mantissa 1/(k prod (q^j - 1)) surely below 2^-1075, so that the
+    # value would round to 0.0
     start = time.perf_counter()
     code, out, err = cli("ff", "pn", "--q", str(q), "--n", str(n))
     assert time.perf_counter() - start < 1.0
@@ -727,14 +735,16 @@ def test_cli_ff_pn_bound_ignores_the_environment():
                          ids=["q2-n45", "q3-n36", "q1048573-n9"])
 def test_cli_ff_pn_printable_value_passes(q, n_max):
     # n_max is the largest n whose special value is a nonzero float; at
-    # n_max + 1 it rounds to 0.0, which is refused as an overflow is
+    # n_max + 1 it rounds to 0.0, which is refused as an overflow is.
+    # SymbolicValue refuses it up to where the integer pre-check of
+    # ProjectiveSpace starts, and both refusals name P^n over F_q
     code, out, err = cli("ff", "pn", "--q", str(q), "--n", str(n_max), "--json")
     report = json.loads(out)
     assert code == 0 and err == "" and report["verdict"] == "PASS"
     assert all(report[side]["numeric"] != 0 for side in ("special_value_predicted", "special_value_computed"))
-    code, out, err = cli("ff", "pn", "--q", str(q), "--n", str(n_max + 1))
-    assert code == 1 and out == "" and err.startswith("error: ")
-    assert len(err.splitlines()) == 1
+    for n in range(n_max + 1, n_max + 60):
+        message = f"error: the exact special value of P^{n} over F_{q} is not a nonzero finite float\n"
+        assert cli("ff", "pn", "--q", str(q), "--n", str(n)) == (1, "", message)
 
 
 def test_cli_report_that_cannot_be_printed_is_an_error(tmp_path):
@@ -859,9 +869,19 @@ def test_acceptance_does_not_import_cli():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_does_not_import_the_smith_normal_form():
+    # the table algebra lives in weil_tables; fgab is the benchmark's Smith
+    # normal form, which no verifier module imports
+    code = ("import sys, weilzeta.cli\n"
+            "print('weilzeta.fgab' in sys.modules, weilzeta.FgAb is weilzeta.weil_tables.FgAb)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_zeta_modules_import_no_comparison_layer():
     # the analytic modules compute one side only: the Weil-etale tables,
-    # the group algebra, the rank side, the reports and the CLI stay unloaded
+    # the rank side, the Smith normal form, the reports and the CLI stay unloaded
     code = "import sys, importlib; importlib.import_module(sys.argv[1]); print(*sys.modules)"
     forbidden = {f"weilzeta.{m}" for m in ("weil_tables", "fgab", "motivic_rank", "reports", "cli")}
     for module in ("weilzeta.ff_zeta", "weilzeta.lfunc"):
@@ -914,13 +934,14 @@ def test_numpy_is_imported_only_to_count_or_sum(tmp_path):
 
 def test_import_of_cli_loads_every_traced_function():
     # bench/tracing.py wraps only the bindings it finds in sys.modules when
-    # the tracer starts, after `import weilzeta.cli`: a module loaded later,
-    # or a function that is no module attribute, leaves its metrics absent
+    # the tracer starts, after bench/worker.py's import_program has imported
+    # weilzeta.cli and weilzeta.fgab: a module loaded later, or a function
+    # that is no module attribute, leaves its metrics absent
     tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8"))
     traced = next(ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED")
     code = """
-import json, sys, types, weilzeta.cli
+import json, sys, types, weilzeta.cli, weilzeta.fgab
 missing = []
 for short, names in json.loads(sys.argv[1]).items():
     module = sys.modules.get(f"weilzeta.{short}")

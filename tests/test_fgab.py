@@ -3,21 +3,12 @@ import json
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
-from weilzeta.fgab import (
-    FgAb,
-    GradedTable,
-    IntMatrix,
-    Z,
-    rank_weighted_euler,
-    smith_normal_form,
-    torsion_euler,
-)
+from weilzeta.fgab import IntMatrix, smith_normal_form
 
 # the benchmark's own checker of a Smith normal form: U M V = D by its own
 # matrix product, |det U| = |det V| = 1 by Fraction elimination, D diagonal
@@ -116,41 +107,3 @@ def test_intmatrix_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
-
-
-def test_fgab_invariant_checks():
-    with pytest.raises(ValueError):
-        FgAb(-1)
-    with pytest.raises(ValueError):
-        FgAb(0, 0)
-
-
-def test_euler_characteristics_small_table():
-    table = GradedTable({0: Z, 2: FgAb(1, 3), 3: FgAb(0, 2)}, dim=1)
-    assert rank_weighted_euler(table) == 2
-    assert torsion_euler(table) == Fraction(3, 2)
-    assert rank_weighted_euler(GradedTable({}, dim=1)) == 0
-    assert torsion_euler(GradedTable({}, dim=1)) == 1
-
-
-def test_euler_additive_over_direct_sums():
-    rng = random.Random(11)
-    for _ in range(30):
-        degrees = range(0, 5)
-        ta = {i: FgAb(rng.randint(0, 2), rng.randint(1, 9)) for i in degrees}
-        tb = {i: FgAb(rng.randint(0, 2), rng.randint(1, 9)) for i in degrees}
-        tsum = {
-            i: FgAb(ta[i].rank + tb[i].rank, ta[i].torsion_order * tb[i].torsion_order)
-            for i in degrees
-        }
-        a, b, s = (GradedTable(t, dim=1) for t in (ta, tb, tsum))
-        assert rank_weighted_euler(s) == rank_weighted_euler(a) + rank_weighted_euler(b)
-        assert torsion_euler(s) == torsion_euler(a) * torsion_euler(b)
-
-
-def test_graded_table_drops_zero_entries_keeps_unknown():
-    table = GradedTable({0: Z, 1: FgAb(0, 1), 2: FgAb(0, 1, False)}, dim=1)
-    assert table.degrees() == [0, 2]
-    assert table.has_unknown_torsion()
-    assert table.delta == 4
-    assert table[1].is_trivial

@@ -1,9 +1,8 @@
 import pytest
 
-from weilzeta.fgab import rank_weighted_euler
 from weilzeta.motivic_rank import borel_dim, pn_of_order
 from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
-from weilzeta.weil_tables import pn_of_table
+from weilzeta.weil_tables import pn_of_table, rank_weighted_euler
 
 FUNDAMENTAL = [d for d in range(-60, 60) if d not in (0, 1) and is_fundamental(d)]
 

@@ -1,12 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from weilzeta.ff_zeta import ProjectiveSpace
-from weilzeta.fgab import FgAb, GradedTable, Z, rank_weighted_euler, torsion_euler
 from weilzeta.number_field import RATIONALS, is_fundamental, quad_invariants
 from weilzeta.reports import pn_of_report
-from weilzeta.weil_tables import MOD2_CAVEAT, UNKNOWN_TORSION_CAVEAT, pn_fq_table, pn_of_table
+from weilzeta.weil_tables import (
+    MOD2_CAVEAT,
+    UNKNOWN_TORSION_CAVEAT,
+    FgAb,
+    GradedTable,
+    Z,
+    pn_fq_table,
+    pn_of_table,
+    rank_weighted_euler,
+    torsion_euler,
+)
 
 FUNDAMENTAL = [d for d in range(-60, 60) if d not in (0, 1) and is_fundamental(d)]
 FIELDS = [RATIONALS] + [quad_invariants(d) for d in FUNDAMENTAL]
@@ -137,3 +147,41 @@ def test_pn_fq_table_rejects():
         pn_fq_table(ProjectiveSpace(1, 2))
     with pytest.raises(ValueError):
         pn_fq_table(ProjectiveSpace(4, -1))
+
+
+def test_fgab_invariant_checks():
+    with pytest.raises(ValueError):
+        FgAb(-1)
+    with pytest.raises(ValueError):
+        FgAb(0, 0)
+
+
+def test_euler_characteristics_small_table():
+    table = GradedTable({0: Z, 2: FgAb(1, 3), 3: FgAb(0, 2)}, dim=1)
+    assert rank_weighted_euler(table) == 2
+    assert torsion_euler(table) == Fraction(3, 2)
+    assert rank_weighted_euler(GradedTable({}, dim=1)) == 0
+    assert torsion_euler(GradedTable({}, dim=1)) == 1
+
+
+def test_euler_additive_over_direct_sums():
+    rng = random.Random(11)
+    for _ in range(30):
+        degrees = range(0, 5)
+        ta = {i: FgAb(rng.randint(0, 2), rng.randint(1, 9)) for i in degrees}
+        tb = {i: FgAb(rng.randint(0, 2), rng.randint(1, 9)) for i in degrees}
+        tsum = {
+            i: FgAb(ta[i].rank + tb[i].rank, ta[i].torsion_order * tb[i].torsion_order)
+            for i in degrees
+        }
+        a, b, s = (GradedTable(t, dim=1) for t in (ta, tb, tsum))
+        assert rank_weighted_euler(s) == rank_weighted_euler(a) + rank_weighted_euler(b)
+        assert torsion_euler(s) == torsion_euler(a) * torsion_euler(b)
+
+
+def test_graded_table_drops_zero_entries_keeps_unknown():
+    table = GradedTable({0: Z, 1: FgAb(0, 1), 2: FgAb(0, 1, False)}, dim=1)
+    assert table.degrees() == [0, 2]
+    assert table.has_unknown_torsion()
+    assert table.delta == 4
+    assert table[1].is_trivial
