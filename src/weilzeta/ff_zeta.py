@@ -2,9 +2,13 @@
 over finite fields.
 
 A curve y^2 = f(x), deg f odd, has N_m = q^m + 1 + sum_x chi(f(x))
-points over F_{q^m}, chi the quadratic character (0 at 0).  Over a prime
-field F_p, f is evaluated in plain int64 residues and chi read from the
-Legendre table mod p.  Over F_{p^k}, k >= 2, f is evaluated in
+points over F_{q^m}, chi the quadratic character (0 at 0).  The sum has
+three paths.  Over a prime field F_p, f is evaluated in plain int64
+residues and chi read from the Legendre table mod p.  Over F_{p^2}, chi
+is the Legendre symbol of the norm to F_p: with F_{p^2} = F_p(w),
+w^2 = n a non-residue, and f(a + b w) = U + V w, chi(f(x)) is that of
+U^2 - n V^2, a polynomial in a and b read in float64 matmuls, and no
+table of F_{p^2} is built.  Over F_{p^k}, k >= 3, f is evaluated in
 discrete-log coordinates over a deterministic primitive element g, with
 the Zech logarithm Z(j) = log(1 + g^j).  Horner carries
 S = log acc - log c', c' the next nonzero coefficient below acc (1 once
@@ -19,9 +23,9 @@ F_{p^k} is the lexicographically minimal monic irreducible, so every
 output is reproducible bit for bit.  A field record, and a Legendre
 table, is kept from its second request on, so one asked for once is freed
 with its count.
-The field tables, the orbits, the Legendre table and the counts over F_p
-and F_{p^k} run BLOCK elements at a time, so no temporary array grows
-with q.
+The field tables, the orbits, the Legendre table and the counts on all
+three paths run about BLOCK elements at a time, so no temporary array
+grows with q.
 
 The numerator P(t) of a curve's zeta function is reconstructed from the
 counts N_1..N_g via the exponential recursion, in integers, and
@@ -399,17 +403,82 @@ class CurveSpec:
         return (len(self.f) - 2) // 2
 
 
+def _norm_chi_sum(f, p: int) -> int:
+    """sum chi(f(x)) over x in F_{p^2}, for f reduced mod p, read through
+    the norm to F_p: no table of F_{p^2} is built.
+
+    F_{p^2} = F_p(w), w^2 = n, n the least non-residue mod p.  With
+    f(a + b w) = U + V w, chi(f(x)) is the Legendre symbol of the norm
+    U^2 - n V^2 (Lidl-Niederreiter, ch. 5), a polynomial in a and b of
+    degree <= 2d in each, d = deg f.  b and -b give conjugate x, of equal
+    norm, so each row b = 1..(p-1)/2 counts twice, and the row b = 0,
+    where the norm is f(a)^2, once.  A block of rows is one float64
+    matmul of the rows' coefficients in a against the powers a^t mod p,
+    then one reduction mod p and one Legendre gather.
+    """
+    import numpy as np
+    chi = legendre(p)
+    n = 2  # the least non-residue; 1 is a square
+    while chi[n] > 0:
+        n += 1
+    d = len(f) - 1
+    width = 2 * d + 1  # powers of a, and of b, in the norm
+    # c x^k = c sum_j C(k, j) a^(k-j) (b w)^j, with w^j = n^(j//2) w^(j%2);
+    # U and V hold the coefficient of a^i b^j at i * width + j, and the
+    # terms of a product have j <= 2d < width, so none carries into the
+    # next power of a: one 1-D convolution squares each.  Every float sum
+    # here is an integer below 2^53, so exact.
+    uv = [0] * (2 * (d + 1) * width)  # U, then V
+    for k, c in enumerate(f):
+        for j in range(k + 1):
+            uv[j % 2 * (d + 1) * width + (k - j) * width + j] = c * comb(k, j) * n ** (j // 2) % p
+    u, v = np.array(uv, dtype=np.float64).reshape(2, -1)
+    norm = (np.convolve(u, u) - n * np.convolve(v, v))[:width**2].astype(np.int64)
+    norm %= p
+    # powers[t, x] = x^t mod p; rows [m, 2m) are rows [0, m) times x^m
+    powers = np.empty((width, p), dtype=np.int64)
+    powers[0] = 1
+    powers[1] = np.arange(p)
+    m = 2
+    while m < width:
+        rows = powers[m:2 * m]
+        np.multiply(powers[:len(rows)], powers[m - 1] * powers[1] % p, out=rows)
+        rows %= p
+        m += len(rows)
+    powers = powers.astype(np.float64)
+    half = (p + 1) // 2
+    # coeffs[b, t] is the coefficient of a^t in the norm at b, below
+    # width p^2 unreduced, so a value of the norm is below
+    # width^2 p^3 < 2^38 (width <= 15, p <= 1021)
+    coeffs = powers[:, :half].T @ norm.reshape(width, width).T
+    total = 0
+    step = BLOCK // p  # p <= 1021, so at least 16 rows of p values
+    for start in range(0, half, step):
+        values = (coeffs[start:start + step] @ powers).astype(np.int64)
+        values -= values // p * p  # values %= p; numpy's // by a scalar is faster
+        block = chi[values]
+        # sum chi = #{+1} - #{-1}; at b = 0 it is #{f(a) != 0}
+        total += 2 * (2 * int(np.count_nonzero(block > 0)) - int(np.count_nonzero(block)))
+        if start == 0:
+            total -= int(np.count_nonzero(block[0]))
+    return total
+
+
 def count_points(variety, m: int = 1) -> int:
     """N_m = q^m + 1 + sum_{x in F_{q^m}} chi(f(x)) for a curve
     y^2 = f(x), subject to q^m <= 2^20: y^2 = v has 1 + chi(v) roots,
-    and deg f is odd, so there is one point at infinity.  f is evaluated
-    for m = 1 in int64 residues, one block of x at a time, reduced mod p
-    only where the next multiply-add could pass 2^63, and sum chi is
-    counted off the Legendre table.  For m >= 2 it is evaluated once per
-    Frobenius orbit on the field's Zech table, one block of orbits at a
-    time, in uint32 shifted logs updated in place: a zero coefficient
-    costs one add and one reduction, a nonzero one a lookup, two adds and
-    two reductions.
+    and deg f is odd, so there is one point at infinity.  Three paths,
+    chosen by m:
+
+    - m = 1: f is evaluated in int64 residues, one block of x at a time,
+      reduced mod p only where the next multiply-add could pass 2^63,
+      and sum chi is counted off the Legendre table;
+    - m = 2: sum chi is read through the norm to F_p (_norm_chi_sum),
+      one matmul per block of rows, and F_{p^2} is never built;
+    - m >= 3: f is evaluated once per Frobenius orbit on the field's
+      Zech table, one block of orbits at a time, in uint32 shifted logs
+      updated in place: a zero coefficient costs one add and one
+      reduction, a nonzero one a lookup, two adds and two reductions.
     """
     import numpy as np
     if m < 1:
@@ -439,6 +508,8 @@ def count_points(variety, m: int = 1) -> int:
             values = chi[acc]
             total += 2 * int(np.count_nonzero(values > 0)) - int(np.count_nonzero(values))
         return total
+    if m == 2:
+        return p * p + 1 + _norm_chi_sum(f, p)
     field = make_field(p, m)
     log, zech, n = field.log, field.zech.view(np.uint32), field.q - 1
     # S (see the module docstring) at x = g^reps is in [0, n), or above
@@ -457,11 +528,12 @@ def count_points(variety, m: int = 1) -> int:
         if c:
             below = int(log[c])
     first = (int(log[f[-1]]) - below) % n  # S of the leading coefficient
-    # the orbits cover x != 0, and x = 0 gives f(0)
+    # the orbits cover x != 0, their sizes sum to n, and x = 0 gives f(0)
     chi0 = 1 - 2 * int(log[f[0]] & 1) if f[0] else 0
-    total = field.q + 1 + chi0
+    total = field.q + 1 + chi0 + n
     for start in range(0, len(field.reps), BLOCK):
         reps = field.reps[start:start + BLOCK].view(np.uint32)
+        sizes = field.sizes[start:start + BLOCK]
         S = np.full(len(reps), first, dtype=np.uint32)
         tmp = np.empty_like(S)
         for delta in reversed(deltas):
@@ -472,12 +544,15 @@ def count_points(variety, m: int = 1) -> int:
                 np.add(tmp, delta, out=tmp)
                 reduce(tmp, S)
                 S, tmp = tmp, S
-        # chi = (-1)^S, 0 where acc = 0
+        # chi = (-1)^S, so sum size chi = sum size - 2 sum size (S & 1),
+        # tallied in uint32; then the few S >= n, where acc = 0 and chi = 0
+        # (the roots of f, at most deg f in all), are taken back out
         np.bitwise_and(S, 1, out=tmp)
-        chi = 1 - 2 * tmp.astype(np.int8)
-        chi[S >= n] = 0
-        # |size * chi| <= k fits int8; the sum over a block does not
-        total += int((field.sizes[start:start + BLOCK] * chi).sum(dtype=np.int64))
+        np.multiply(tmp, sizes.astype(np.uint32), out=tmp)
+        total -= 2 * int(tmp.sum())
+        if S.max() >= n:
+            for i in np.flatnonzero(S >= n):
+                total -= int(sizes[i]) * (1 - 2 * int(S[i] & 1))
     return total
 
 

@@ -288,15 +288,16 @@ def test_make_field_caching_and_bounds(monkeypatch):
     assert ff_zeta._FIELD_CACHE == {(3, 2): kept}
     # the same count whether the field was marked, kept or served
     curve = CurveSpec(11, (1, 1, 0, 0, 0, 1))
-    counts = [count_points(curve, 2) for _ in range(3)]
-    assert counts == [closed_point_count_oracle(curve.f, 11, 2)] * 3
-    assert ff_zeta._FIELD_CACHE[(11, 2)] is not None
-    # a genus-2 curve with p^2 > COUNT_BOUND asks for F_{p^2} once
+    counts = [count_points(curve, 3) for _ in range(3)]
+    assert counts == [closed_point_count_oracle(curve.f, 11, 3)] * 3
+    assert ff_zeta._FIELD_CACHE[(11, 3)] is not None
+    # a genus-2 curve with p^2 > COUNT_BOUND counts N_1 and N_2, and N_2
+    # reads the norm to F_p: no field is built
     ff_zeta._FIELD_CACHE.clear()
     primes = [p for p in range(257, 1022) if is_prime(p)][:10]
     for p in primes:
         verify_ff(CurveSpec(p, (1, 1, 0, 0, 0, 1)))
-    assert ff_zeta._FIELD_CACHE == {(p, 2): None for p in primes}
+    assert ff_zeta._FIELD_CACHE == {}
     with pytest.raises(ValueError, match=f"^p\\^k = {2**21} exceeds {ff_zeta.SIZE_BOUND}$"):
         make_field(2, 21)
     with pytest.raises(ValueError):
@@ -408,10 +409,12 @@ def test_prime_field_count_keeps_transients_to_blocks():
 @pytest.mark.parametrize("p, m, f", [(1021, 2, (1, 1, 0, 0, 0, 1)),
                                      (101, 3, (1, 1, 0, 0, 0, 0, 0, 1))])
 def test_extension_count_keeps_transients_to_blocks(monkeypatch, p, m, f):
-    # the whole-array count over a cached field peaked at 7.96 and 5.24 MiB
+    # the whole-array count over a cached field peaked at 7.96 and 5.24 MiB;
+    # m = 2 reads no field, so the bound holds its blocks of rows
     monkeypatch.setattr(ff_zeta, "_FIELD_CACHE", {})
-    make_field(p, m)
-    make_field(p, m)  # kept from here on
+    if m > 2:
+        make_field(p, m)
+        make_field(p, m)  # kept from here on
     assert traced_peak(lambda: count_points(CurveSpec(p, f), m)) < 1
 
 
@@ -647,6 +650,33 @@ def test_count_points_full_size_against_closed_points(p, m):
     for f in ((1, 1, 0, 1), (3, 0, 2, 0, 0, 1), (5, 1, 0, 0, 0, 0, 7, 1), (0, 4, 0, 3, 0, 1)):
         c = CurveSpec(p, f)
         assert count_points(c, m) == closed_point_count_oracle(c.f, p, m)
+
+
+def test_quadratic_count_builds_no_field(monkeypatch):
+    # N_2 through the norm to F_p, on every prime 3 <= p < 60 and genus
+    # 1-3, against closed points: monic and not, f(0) = 0, and f with
+    # roots in F_p, where the row b = 0 has chi = 0
+    def refuse(p, k):
+        raise AssertionError(f"F_{p}^{k} built")
+
+    monkeypatch.setattr(ff_zeta, "make_field", refuse)
+    rng = random.Random(34)
+    for p in filter(is_prime, range(3, 60)):
+        shapes = Counter()
+        for deg in (3, 5, 7):
+            for lead in (1, rng.randrange(2, p) if p > 3 else 2):
+                for low in ((0,), (0, 1), (rng.randrange(1, p),), ()):
+                    f = list(low) + [rng.randrange(p) for _ in range(deg - len(low))] + [lead]
+                    try:
+                        c = CurveSpec(p, tuple(f))
+                    except ValueError:  # not squarefree mod p
+                        continue
+                    assert count_points(c, 2) == closed_point_count_oracle(c.f, p, 2), (p, f)
+                    roots = sum(sum(a * x**i for i, a in enumerate(c.f)) % p == 0 for x in range(p))
+                    shapes.update({"non-monic": lead != 1, "f(0) = 0": c.f[0] % p == 0,
+                                   "root in F_p": roots > 0, f"genus {c.genus}": True})
+        assert all(shapes[s] for s in ("non-monic", "f(0) = 0", "root in F_p",
+                                       "genus 1", "genus 2", "genus 3")), (p, shapes)
 
 
 def test_count_points_extension_consistency():
@@ -905,8 +935,7 @@ def test_verify_ff_compares_every_count(monkeypatch):
 
 def test_verify_ff_refuses_genus_3_before_counting(monkeypatch):
     # 103^3 > 2^20 >= 1021^2: left to count_points, the refusal of m = 3
-    # would come after N_1 was counted and F_{p^2} built, which leaves at
-    # least a marker in the cache
+    # would come after N_1 and N_2 were counted
     calls = []
 
     def counting(variety, m=1):
